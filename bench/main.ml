@@ -111,10 +111,10 @@ let ablation_models ppf =
   Batsched.Report.model_comparison ppf (Batsched.Experiments.model_comparison ())
 
 let ablation_lookahead ppf =
-  section ppf "Ablation X2: bounded lookahead between best-of and optimal";
+  section ppf "Ablation X2: receding-horizon lookahead between best-of and optimal";
   let load = Loads.Testloads.ILs_r1 in
   Batsched.Report.lookahead_sweep ppf ~load
-    (Batsched.Experiments.lookahead_sweep ~load ~depths:[ 1; 2; 3; 4; 6; 8 ] ())
+    (Batsched.Experiments.lookahead_sweep ~load ~ks:[ 1; 2; 3; 4; 6; 8 ] ())
 
 let ablation_granularity ppf =
   section ppf "Ablation A3: discretization granularity (paper sections 2.3, 4.4)";
@@ -1304,9 +1304,9 @@ let micro ppf =
         (Staged.stage
            (let model = Takibam.Model.build ~n_batteries:2 disc ils_alt in
             fun () -> ignore (Pta.Uppaal.network model.Takibam.Model.network)));
-      Test.make ~name:"sched: lookahead-4 run (2xB1, ILs alt)"
+      Test.make ~name:"sched: horizon-4 run (2xB1, ILs alt)"
         (Staged.stage
-           (let policy = Sched.Optimal.lookahead_policy ~depth:4 disc ils_alt in
+           (let policy = Sched.Horizon.policy ~k:4 () in
             fun () ->
               ignore
                 (Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc ils_alt)));

@@ -113,13 +113,14 @@ val cross_validate : unit -> cross_validation
 
 val lookahead_sweep :
   ?load:Loads.Testloads.name ->
-  depths:int list ->
+  ks:int list ->
   unit ->
   (int option * float) list
 (** Ablation X2: the implementable middle ground between best-of and the
-    clairvoyant optimum.  Returns [(None, best_of_lifetime)] followed by
-    [(Some depth, lifetime)] per requested lookahead depth and finally
-    [(None, optimal)] — consumed by {!Report.lookahead_sweep}. *)
+    clairvoyant optimum, swept over the {!Sched.Horizon} window.
+    Returns [(None, best_of_lifetime)] followed by [(Some k, lifetime)]
+    per requested window of [k] jobs and finally [(None, optimal)] —
+    consumed by {!Report.lookahead_sweep}. *)
 
 type granularity_row = {
   g_time_step : float;

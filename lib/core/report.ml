@@ -128,17 +128,18 @@ let cross_validation ppf (c : Experiments.cross_validation) =
 
 let lookahead_sweep ppf ~load rows =
   Format.fprintf ppf
-    "Lookahead ablation (X2): bounded-horizon scheduling on %s, two B1 \
+    "Lookahead ablation (X2): receding-horizon scheduling on %s, two B1 \
      batteries@."
     (Loads.Testloads.to_string load);
   Format.fprintf ppf "%12s %14s@." "policy" "lifetime(min)";
   let n = List.length rows in
   List.iteri
-    (fun k (depth, lt) ->
+    (fun i (k, lt) ->
       let label =
-        match depth with
-        | Some d -> Printf.sprintf "lookahead %d" d
-        | None -> if k = 0 then "best-of-two" else if k = n - 1 then "optimal" else "?"
+        match k with
+        | Some k -> Sched.Horizon.name ~k ()
+        | None ->
+            if i = 0 then "best-of-two" else if i = n - 1 then "optimal" else "?"
       in
       Format.fprintf ppf "%12s %14.2f@." label lt)
     rows

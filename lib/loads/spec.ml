@@ -58,7 +58,30 @@ let int_token what = function
             "expected an integer for %s" what)
   | None -> fail ~field:what ~accepted:"a positive integer" "missing %s" what
 
-(* Recursive descent over the token list. *)
+let max_epochs = 20_000
+
+let too_long ~field n =
+  fail ~field ~value:(string_of_int n)
+    ~accepted:(Printf.sprintf "at most %d epochs" max_epochs)
+    "spec load too long"
+
+(* Prepend one item's epochs to the join of the items after it, summing
+   the two idles that meet at the boundary, if any.  Both sides are
+   already merged inside, so that is the only merge, and joining right
+   to left keeps the sums right-associated ([a +. (b +. c)]). *)
+let join item rest =
+  match (List.rev item, rest) with
+  | Epoch.Idle a :: r, Epoch.Idle b :: rest ->
+      List.rev_append r (Epoch.Idle (a +. b) :: rest)
+  | r, _ -> List.rev_append r rest
+
+let starts_idle = function Epoch.Idle _ :: _ -> true | _ -> false
+let ends_idle es = starts_idle (List.rev es)
+
+(* Recursive descent over the token list.  A sequence is collected item
+   by item with the length of its join so far, and joined once at the
+   end: linear in its length, and refused as soon as a prefix passes
+   [max_epochs].  [repeat] is refused before it expands. *)
 let parse_exn input =
   let tokens = ref (tokenize input) in
   let peek () = match !tokens with t :: _ -> Some t | [] -> None in
@@ -80,12 +103,23 @@ let parse_exn input =
           ~accepted:(Printf.sprintf "%S" tok) "expected %S" tok
   in
   let rec seq () =
-    let first = item () in
-    match peek () with
-    | Some ";" ->
-        ignore (next ());
-        Epoch.append first (seq ())
-    | _ -> first
+    let rec collect items len =
+      let es = Epoch.epochs (item ()) in
+      let merged =
+        match items with
+        | last :: _ -> ends_idle last && starts_idle es
+        | [] -> false
+      in
+      let len = len + List.length es - Bool.to_int merged in
+      if len > max_epochs then too_long ~field:"spec" len;
+      match peek () with
+      | Some ";" ->
+          ignore (next ());
+          collect (es :: items) len
+      | _ -> es :: items
+    in
+    Epoch.of_epochs
+      (List.fold_left (fun rest es -> join es rest) [] (collect [] 0))
   and item () =
     match next () with
     | Some "job" ->
@@ -98,6 +132,8 @@ let parse_exn input =
         expect "(";
         let body = seq () in
         expect ")";
+        let count = Epoch.epoch_count body in
+        if n > max_epochs / count then too_long ~field:"repeat count" n;
         Epoch.repeat n body
     | Some name -> (
         match Testloads.of_string name with

@@ -164,6 +164,147 @@ let fingerprint ~switch_delay ~objective ~allow_final_draw_skip ~initial
             initial )
           []))
 
+(* ------------------------------------------------------------------ *)
+(* The search core                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One memoized, bound-pruned depth-first search serves the exact
+   search and the Horizon planner alike: the exact search is the
+   planner with its frontier past the end of the load, plus an
+   objective, a node floor and schedule extraction.  A [core] fixes, for
+   one call, everything in which the two differ. *)
+
+type work = {
+  mutable segments : int;
+  mutable pruned : int;
+  mutable misses : int;
+  mutable cuts : int;
+}
+
+let fresh_work () = { segments = 0; pruned = 0; misses = 0; cuts = 0 }
+
+type core = {
+  cursor : Loads.Cursor.t;
+  switch_delay : int;
+  skips : bool list;  (** final-draw-skip options tried per battery *)
+  frontier : int;  (** positions in epochs [>= frontier] score [terminal] *)
+  terminal : pos -> int;
+  outlived : unit -> int;  (** value of a continuation outliving the load *)
+  score : int * int -> int;  (** objective score of (death step, stranded) *)
+  ub : pos -> int;
+      (** admissible upper bound on a position's value; [max_int] when
+          the bound cannot cut *)
+  floor : pos -> int;  (** achievable floor seeding a node's best value *)
+  key : pos -> Key.t;
+  table : int Tbl.t;
+  shared : Memo.scope option;
+  charge : unit -> unit;  (** budget hook, once per simulated segment *)
+  on_miss : int -> unit;  (** once per explored position, with its depth *)
+  work : work;
+}
+
+(* Cross-request shared store (Sched.Memo): lookups fall through the
+   private table to the shared one (copying hits local, so the shared
+   shard lock is taken once per distinct position); stores publish to
+   both.  Every entry is an exact value, so warmth changes the work,
+   never the result. *)
+let lookup c key =
+  match Tbl.find_opt c.table key with
+  | Some _ as v -> v
+  | None -> (
+      match c.shared with
+      | None -> None
+      | Some s -> (
+          match Memo.find s key with
+          | Some v ->
+              Tbl.replace c.table key v;
+              Some v
+          | None -> None))
+
+let store c key v =
+  Tbl.replace c.table key v;
+  match c.shared with Some s -> Memo.add s key v | None -> ()
+
+let choices c (p : pos) =
+  List.concat_map
+    (fun b -> List.map (fun sk -> (b, sk)) c.skips)
+    (Bank.alive p.bank)
+
+(* What [child] reports for a cut: the child's value is only known to
+   be at most the best sibling value, and [min_int] never wins a max. *)
+let cut = min_int
+
+let no_child _ _ = ()
+let no_cut _ = max_int
+
+(* [value c ~depth ~seed ~on_child key p]: the exact value of position
+   [p], whose memo key [key] has just missed — the max of [seed] and of
+   its children's values.  [seed] must be achievable by some
+   continuation, so the stored maximum stays exact while it lets
+   dominated children be cut before any of them is explored.
+   [on_child] sees each child value that was not cut, in choice order.
+   [depth] counts decisions from the root and only feeds [on_miss]. *)
+let rec value c ~depth ~seed ~on_child key p =
+  c.work.misses <- c.work.misses + 1;
+  c.on_miss depth;
+  let best = ref seed in
+  List.iter
+    (fun ch ->
+      let v = child c ~depth !best p ch in
+      if v <> cut then begin
+        on_child ch v;
+        if v > !best then best := v
+      end)
+    (choices c p);
+  (* a decision point always has at least one alive battery *)
+  assert (!best > min_int);
+  store c key !best;
+  !best
+
+(* [child c ~depth best p (b, skip_final)]: serve from [p] with battery
+   [b] up to the next decision point, then value the outcome — a death
+   by its score, a frontier position by [terminal], a continuation past
+   the load by [outlived], an explored position by its memo entry.
+   Memoized children are looked up before the bound check, so hit/miss
+   counts match the unpruned search exactly.  A miss whose upper bound
+   cannot beat [best] is cut: its value is [<= ub <= best], so the
+   parent's max — and, because [best] only grows along the first-max
+   fold, its argmax and the replayed schedule — are unchanged.  Any
+   other miss is explored. *)
+and child c ~depth best p (b, skip_final) =
+  c.work.segments <- c.work.segments + 1;
+  c.charge ();
+  match run_segment c.cursor ~switch_delay:c.switch_delay ~skip_final p b with
+  | Terminal t -> c.score t
+  | Exhausted -> c.outlived ()
+  | Next p' -> (
+      if p'.y >= c.frontier then c.terminal p'
+      else
+        let key = c.key p' in
+        match lookup c key with
+        | Some v ->
+            c.work.pruned <- c.work.pruned + 1;
+            v
+        | None ->
+            if c.ub p' <= best then begin
+              c.work.cuts <- c.work.cuts + 1;
+              cut
+            end
+            else
+              value c ~depth:(depth + 1) ~seed:(c.floor p') ~on_child:no_child
+                key p')
+
+(* The first choice at [p] whose value is [v] — the same selection the
+   strict-argmax fold makes.  Asking [child] to beat [v - 1] skips, with
+   bounds on, every sibling whose upper bound falls strictly below [v]:
+   it cannot be that first match. *)
+let first_match c p v =
+  List.find (fun ch -> child c ~depth:0 (v - 1) p ch = v) (choices c p)
+
+(* ------------------------------------------------------------------ *)
+(* Exact search                                                        *)
+(* ------------------------------------------------------------------ *)
+
 let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     ?(objective = Max_lifetime) ?bounds ?(allow_final_draw_skip = false)
     ?initial ~n_batteries (disc : Dkibam.Discretization.t)
@@ -191,43 +332,43 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     else None
   in
   (* Objective-specific admissible upper bound on [score] at a position;
-     [None] when the bound cannot cut — in particular whenever some
+     [max_int] when the bound cannot cut — in particular whenever some
      continuation might outlive the load, because a pruned subtree must
      be provably free of [Load_too_short]. *)
-  let score_ub bd (p : pos) =
-    let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
-    if ub >= Bound.infinite then None
-    else
-      match objective with
-      | Max_lifetime -> Some ub
-      | Min_stranded ->
-          Some (-Bound.stranded_lb bd ~y:p.y ~local:p.local p.bank)
-      | Min_lifetime ->
-          let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-          if lb >= Bound.infinite then None else Some (-lb)
-  in
-  (* Achievable floor on a node's value: every continuation that dies
-     scores at least this much, so seeding [best] with it keeps the
-     stored maximum exact while letting dominated children be cut before
-     any of them is explored. *)
-  let seed_score (p : pos) =
+  let score_ub =
     match bound with
-    | None -> min_int
+    | None -> no_cut
     | Some bd -> (
-        match objective with
-        | Max_lifetime ->
-            let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-            if lb >= Bound.infinite then min_int else lb
-        | Min_lifetime ->
-            let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
-            if ub >= Bound.infinite then min_int else -ub
-        | Min_stranded -> min_int)
+        fun (p : pos) ->
+          let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
+          if ub >= Bound.infinite then max_int
+          else
+            match objective with
+            | Max_lifetime -> ub
+            | Min_stranded -> -Bound.stranded_lb bd ~y:p.y ~local:p.local p.bank
+            | Min_lifetime ->
+                let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
+                if lb >= Bound.infinite then max_int else -lb)
   in
-  let memo : int Tbl.t = Tbl.create 4096 in
-  let segments = ref 0
-  and pruned = ref 0
-  and misses = ref 0
-  and cuts = ref 0 in
+  (* Achievable floor on a node's value: every continuation dies (one
+     that outlives the load raises [Load_too_short]), and each that dies
+     scores at least this much. *)
+  let seed_score =
+    match bound with
+    | None -> fun _ -> min_int
+    | Some bd -> (
+        fun (p : pos) ->
+          match objective with
+          | Max_lifetime ->
+              let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
+              if lb >= Bound.infinite then min_int else lb
+          | Min_lifetime ->
+              let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
+              if ub >= Bound.infinite then min_int else -ub
+          | Min_stranded -> min_int)
+  in
+  let table : int Tbl.t = Tbl.create 4096 in
+  let work = fresh_work () in
   (* Budget hooks.  [armed] is cleared once the search phase ends so the
      replay below (all memo hits) and the floor fallback can never trip;
      with no budget both hooks are no-ops and the search is bit-identical
@@ -247,9 +388,9 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
   in
   (* Checkpointing (serial search only — [?pool] is ignored when a
      checkpoint is given).  Snapshots only ever contain fully-solved
-     positions: an entry reaches [memo] after its whole subtree has been
-     evaluated, so a snapshot taken mid-search — or left behind by a
-     killed process — preloads as a pure cache and the resumed search
+     positions: an entry reaches the table after its whole subtree has
+     been evaluated, so a snapshot taken mid-search — or left behind by
+     a killed process — preloads as a pure cache and the resumed search
      returns the same lifetime, stranded charge and schedule as an
      uninterrupted run. *)
   let fp =
@@ -261,7 +402,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     match checkpoint with
     | None -> ()
     | Some ck ->
-        let entries = Tbl.fold (fun k v acc -> (k, v) :: acc) memo [] in
+        let entries = Tbl.fold (fun k v acc -> (k, v) :: acc) table [] in
         (* the flag is informational: entries are exact subtree values in
            both modes, so a snapshot resumes soundly across modes and the
            fingerprint deliberately excludes it *)
@@ -276,8 +417,8 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
   let last_ckpt = ref 0 in
   let maybe_ckpt () =
     match checkpoint with
-    | Some ck when !segments - !last_ckpt >= ck.every_segments ->
-        last_ckpt := !segments;
+    | Some ck when work.segments - !last_ckpt >= ck.every_segments ->
+        last_ckpt := work.segments;
         ckpt_save ()
     | _ -> ()
   in
@@ -291,115 +432,58 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
           let (_saved_with_bounds : bool), (entries : (Key.t * int) array) =
             Marshal.from_string payload 0
           in
-          Array.iter (fun (k, v) -> Tbl.replace memo k v) entries
+          Array.iter (fun (k, v) -> Tbl.replace table k v) entries
       | Error Guard.Checkpoint.Missing -> ()
       | Error (Guard.Checkpoint.Bad e) -> Guard.Error.raise_exn e)
   | _ -> ());
-  (* Cross-request shared store (Sched.Memo): lookups fall through the
-     local table to the shared one (copying hits local, so the shared
-     shard lock is taken once per distinct position); stores publish to
-     both.  The scope fingerprint digests every input the values depend
-     on, so entries never leak across loads, packs or objectives; the
-     values themselves are exact, so warmth changes the work, never the
-     result — bit-identity cold/warm/evicted is asserted in
-     test/test_memo.ml.  Safe from concurrent searches on any domain
-     (Memo is sharded + locked; the local table stays private). *)
-  let shared_scope =
-    Option.map
-      (fun m -> Memo.scope m ~fingerprint:("search|" ^ Lazy.force fp))
-      shared
+  (* The shared store's scope fingerprint digests every input the values
+     depend on, so entries never leak across loads, packs or objectives;
+     bit-identity cold/warm/evicted is asserted in test/test_memo.ml.
+     Safe from concurrent searches on any domain (Memo is sharded +
+     locked; the private table is not shared). *)
+  let c =
+    {
+      cursor;
+      switch_delay;
+      skips = (if allow_final_draw_skip then [ false; true ] else [ false ]);
+      (* a [Next] position always lies inside the load, so with the
+         frontier past its end the terminal value is never asked for *)
+      frontier = Loads.Cursor.epoch_count cursor;
+      terminal = (fun _ -> assert false);
+      outlived = (fun () -> raise Load_too_short);
+      score;
+      ub = score_ub;
+      floor = seed_score;
+      key = Key.of_pos;
+      table;
+      shared =
+        Option.map
+          (fun m -> Memo.scope m ~fingerprint:("search|" ^ Lazy.force fp))
+          shared;
+      charge;
+      on_miss =
+        (fun depth ->
+          note_position ();
+          Obs.observe h_depth depth;
+          maybe_ckpt ());
+      work;
+    }
   in
-  let find_memo tbl key =
-    match Tbl.find_opt tbl key with
-    | Some _ as v -> v
-    | None -> (
-        match shared_scope with
-        | None -> None
-        | Some s -> (
-            match Memo.find s key with
-            | Some v ->
-                Tbl.replace tbl key v;
-                Some v
-            | None -> None))
-  in
-  let store_memo tbl key v =
-    Tbl.replace tbl key v;
-    match shared_scope with Some s -> Memo.add s key v | None -> ()
-  in
-  let skip_options = if allow_final_draw_skip then [ false; true ] else [ false ] in
-  let choices (p : pos) =
-    List.concat_map
-      (fun b -> List.map (fun sk -> (b, sk)) skip_options)
-      (Bank.alive p.bank)
-  in
-  (* The recursive exact value of a position, memoized in [memo] with
-     hit/miss/segment counters [pruned]/[misses]/[segments].
-     Parameterized over the table so that parallel root branches can
-     each own one.  [depth] counts decisions from the root and only
-     feeds the observability histogram. *)
-  let rec value_in memo segments pruned misses cuts ~depth (p : pos) =
-    let key = Key.of_pos p in
-    match find_memo memo key with
-    | Some v ->
-        incr pruned;
-        v
-    | None ->
-        incr misses;
-        note_position ();
-        Obs.observe h_depth depth;
-        maybe_ckpt ();
-        let best = ref (seed_score p) in
-        List.iter
-          (fun (b, skip_final) ->
-            incr segments;
-            charge ();
-            match run_segment cursor ~switch_delay ~skip_final p b with
-            | Terminal t -> if score t > !best then best := score t
-            | Next p' -> (
-                (* memoized children are looked up before the bound check
-                   so hit/miss counts match the unpruned search exactly *)
-                match find_memo memo (Key.of_pos p') with
-                | Some v ->
-                    incr pruned;
-                    if v > !best then best := v
-                | None ->
-                    let cut =
-                      match bound with
-                      | Some bd -> (
-                          match score_ub bd p' with
-                          | Some ub -> ub <= !best
-                          | None -> false)
-                      | None -> false
-                    in
-                    if cut then incr cuts
-                    else
-                      let v =
-                        value_in memo segments pruned misses cuts
-                          ~depth:(depth + 1) p'
-                      in
-                      if v > !best then best := v)
-            | Exhausted -> raise Load_too_short)
-          (choices p);
-        (* a decision point always has at least one alive battery *)
-        assert (!best > min_int);
-        store_memo memo key !best;
-        !best
-  in
-  let value p = value_in memo segments pruned misses cuts ~depth:0 p in
   let root =
     match advance_to_job cursor 0 (Bank.create ?initial ~n_batteries disc) with
     | Next p -> p
     | Exhausted -> raise Load_too_short
     | Terminal _ -> assert false
   in
+  let root_key = Key.of_pos root in
+  let root_choices = choices c root in
   (* Root evaluation.  Both paths go one first-decision branch at a
      time, so that on budget exhaustion every branch completed so far
      is a fully-memoized, exact subtree — the anytime result below
      replays the best of them.  [completed] collects (choice, value) in
-     evaluation order; [trip_info] latches the first budget trip. *)
-  let root_choices = choices root in
+     reverse evaluation order; a tripped evaluation returns the first
+     trip instead of the root value. *)
   let completed = ref [] in
-  let trip_info = ref None in
   (* Incumbent: one best-of-two policy run — the same floor the anytime
      fallback uses — scores a schedule that is a path of this very tree,
      so its score never exceeds the true optimum and seeding the root
@@ -419,72 +503,31 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         | Some steps -> score (steps, Bank.stranded_units o.Simulator.final))
   in
   let eval_serial () =
-    match find_memo memo (Key.of_pos root) with
-    | Some _ -> incr pruned
-    | None ->
-        incr misses;
-        Obs.observe h_depth 0;
-        (* the position note goes inside the try: a budget shared
-           across searches may already be tripped on entry, and that
-           must surface as an anytime status, not an exception *)
-        (try
-           note_position ();
-           let best = ref incumbent_floor in
-           List.iter
-             (fun ((b, skip_final) as c) ->
-               incr segments;
-               charge ();
-               match run_segment cursor ~switch_delay ~skip_final root b with
-               | Terminal t ->
-                   completed := (c, score t) :: !completed;
-                   if score t > !best then best := score t
-               | Next p' -> (
-                   match find_memo memo (Key.of_pos p') with
-                   | Some v ->
-                       incr pruned;
-                       completed := (c, v) :: !completed;
-                       if v > !best then best := v
-                   | None ->
-                       let cut =
-                         match bound with
-                         | Some bd -> (
-                             match score_ub bd p' with
-                             | Some ub -> ub <= !best
-                             | None -> false)
-                         | None -> false
-                       in
-                       if cut then incr cuts
-                       else begin
-                         let v =
-                           value_in memo segments pruned misses cuts ~depth:1
-                             p'
-                         in
-                         completed := (c, v) :: !completed;
-                         if v > !best then best := v
-                       end)
-               | Exhausted -> raise Load_too_short)
-             root_choices
-         with Guard.Budget.Tripped r -> trip_info := Some r);
-        if !trip_info = None then begin
-          let best =
-            List.fold_left (fun acc (_, v) -> max acc v) incumbent_floor
-              !completed
-          in
-          (* a decision point always has at least one alive battery *)
-          assert (best > min_int);
-          store_memo memo (Key.of_pos root) best
-        end
+    match lookup c root_key with
+    | Some v ->
+        work.pruned <- work.pruned + 1;
+        Ok v
+    | None -> (
+        (* the root's position note runs inside the handler: a budget
+           shared across searches may already be tripped on entry, and
+           that must surface as an anytime status, not an exception *)
+        try
+          Ok
+            (value c ~depth:0 ~seed:incumbent_floor
+               ~on_child:(fun ch v -> completed := (ch, v) :: !completed)
+               root_key root)
+        with Guard.Budget.Tripped r -> Error r)
   in
   (* Root fan-out: each first decision is searched in its own domain
      with a private memo table (values are exact, so any table agrees
-     with any other on shared keys), then the tables are merged into
-     [memo] and the root entry derived from the branch values.  The
-     replay below then runs against the merged table and reproduces the
-     serial schedule exactly — branch values are the same integers the
-     serial search computes.  A shared budget stops all branches: the
-     first trip latches the budget's cancel token, and every sibling
-     unwinds at its next charge; tripped branches return [None], and
-     their partial tables still merge — each entry is exact. *)
+     with any other on shared keys), then the tables are merged and the
+     root entry derived from the branch values.  The replay below then
+     runs against the merged table and reproduces the serial schedule
+     exactly — branch values are the same integers the serial search
+     computes.  A shared budget stops all branches: the first trip
+     latches the budget's cancel token, and every sibling unwinds at its
+     next charge; tripped branches report so, and their partial tables
+     still merge — each entry is exact. *)
   let eval_pooled pool =
     let root_choices = Array.of_list root_choices in
     (* Branches prune against the up-front incumbent only — a fixed
@@ -492,36 +535,11 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
        cut never depends on completion order.  A cut branch is settled
        (its value is provably <= the incumbent, which the root max
        already includes), so cuts count towards completion. *)
-    let branch (b, skip_final) =
-      let memo = Tbl.create 4096 in
-      let segments = ref 0
-      and pruned = ref 0
-      and misses = ref 0
-      and cuts = ref 0 in
-      match
-        (incr segments;
-         charge ();
-         match run_segment cursor ~switch_delay ~skip_final root b with
-         | Terminal t -> `Value (score t)
-         | Next p' ->
-             let cut =
-               match bound with
-               | Some bd -> (
-                   match score_ub bd p' with
-                   | Some ub -> ub <= incumbent_floor
-                   | None -> false)
-               | None -> false
-             in
-             if cut then begin
-               incr cuts;
-               `Cut
-             end
-             else `Value (value_in memo segments pruned misses cuts ~depth:1 p')
-         | Exhausted -> raise Load_too_short)
-      with
-      | outcome -> (outcome, memo, !segments, !pruned, !misses, !cuts)
-      | exception Guard.Budget.Tripped _ ->
-          (`Tripped, memo, !segments, !pruned, !misses, !cuts)
+    let branch ch =
+      let bc = { c with table = Tbl.create 4096; work = fresh_work () } in
+      match child bc ~depth:0 incumbent_floor root ch with
+      | v -> (Some v, bc)
+      | exception Guard.Budget.Tripped _ -> (None, bc)
     in
     let branches =
       Exec.Pool.parallel_init ~chunk:1 pool (Array.length root_choices)
@@ -529,118 +547,90 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     in
     let settled = ref 0 in
     Array.iteri
-      (fun i (o, m, s, pr, mi, cu) ->
-        segments := !segments + s;
-        pruned := !pruned + pr;
-        misses := !misses + mi;
-        cuts := !cuts + cu;
-        Tbl.iter (fun k v -> Tbl.replace memo k v) m;
+      (fun i (o, bc) ->
+        work.segments <- work.segments + bc.work.segments;
+        work.pruned <- work.pruned + bc.work.pruned;
+        work.misses <- work.misses + bc.work.misses;
+        work.cuts <- work.cuts + bc.work.cuts;
+        Tbl.iter (fun k v -> Tbl.replace table k v) bc.table;
         match o with
-        | `Value v ->
+        | Some v ->
             incr settled;
-            completed := (root_choices.(i), v) :: !completed
-        | `Cut -> incr settled
-        | `Tripped -> ())
+            if v <> cut then completed := (root_choices.(i), v) :: !completed
+        | None -> ())
       branches;
     if !settled = Array.length root_choices then begin
       let best =
         List.fold_left (fun acc (_, v) -> max acc v) incumbent_floor !completed
       in
-      store_memo memo (Key.of_pos root) best
+      store c root_key best;
+      Ok best
     end
     else
-      trip_info :=
-        Some
-          (match budget with
-          | Some b -> (
-              match Guard.Budget.tripped b with
-              | Some r -> r
-              | None -> Guard.Budget.Cancelled)
-          | None -> Guard.Budget.Cancelled)
+      Error
+        (match budget with
+        | Some b -> (
+            match Guard.Budget.tripped b with
+            | Some r -> r
+            | None -> Guard.Budget.Cancelled)
+        | None -> Guard.Budget.Cancelled)
   in
   (* A checkpointed search runs serially: the snapshot cadence is tied
      to the one shared memo table. *)
-  (match pool with
-  | Some pool when checkpoint = None && List.length root_choices > 1 ->
-      eval_pooled pool
-  | _ -> eval_serial ());
+  let outcome =
+    match pool with
+    | Some pool when checkpoint = None && List.length root_choices > 1 ->
+        eval_pooled pool
+    | _ -> eval_serial ()
+  in
   armed := false;
   (* Final snapshot: a completed run leaves a full-resume cache; a
      tripped run leaves every subtree it solved. *)
   ckpt_save ();
   (* Search-phase statistics, snapshotted before the replay below adds
-     its own (all-hit) memo lookups.  The Obs counters are synced from
-     the very same values, so [--stats] reports exactly [result.stats]
-     plus the miss count. *)
+     its own memo lookups.  The Obs counters are synced from the very
+     same values, so [--stats] reports exactly [result.stats] plus the
+     miss count. *)
   let stats =
     {
-      positions_explored = Tbl.length memo;
-      segments_run = !segments;
-      pruned = !pruned;
-      bound_cuts = !cuts;
+      positions_explored = Tbl.length table;
+      segments_run = work.segments;
+      pruned = work.pruned;
+      bound_cuts = work.cuts;
     }
   in
   Obs.add c_positions stats.positions_explored;
   Obs.add c_segments stats.segments_run;
   Obs.add c_memo_hits stats.pruned;
-  Obs.add c_memo_misses !misses;
+  Obs.add c_memo_misses work.misses;
   Obs.add c_bound_cuts stats.bound_cuts;
-  (* Reconstruct one optimal schedule by replaying, at each position,
-     the first choice whose exact value matches the position's own — the
-     same selection the strict-argmax fold made before bounds existed.
-     With bounds on, a child whose score upper bound falls strictly
-     below the target cannot be that first match and is skipped without
-     being evaluated; a child the search itself cut may have to be
-     evaluated here (it memoizes as it goes, after the stats snapshot
-     above and with the budget disarmed). *)
-  let schedule = ref [] in
-  let final = ref (0, 0) in
-  let rec replay (p : pos) =
-    let v_star = value p in
-    let rec pick = function
-      | [] -> assert false
-      | (b, skip_final) :: rest -> (
-          match run_segment cursor ~switch_delay ~skip_final p b with
-          | Terminal t ->
-              if score t = v_star then (b, None, Some t) else pick rest
-          | Next p' ->
-              let skip =
-                match bound with
-                | Some bd when not (Tbl.mem memo (Key.of_pos p')) -> (
-                    match score_ub bd p' with
-                    | Some ub -> ub < v_star
-                    | None -> false)
-                | _ -> false
-              in
-              if (not skip) && value p' = v_star then (b, Some p', None)
-              else pick rest
-          | Exhausted -> raise Load_too_short)
-    in
-    let b, next, terminal = pick (choices p) in
-    schedule := b :: !schedule;
-    match next with
-    | Some p' -> replay p'
-    | None -> ( match terminal with Some t -> final := t | None -> assert false)
+  (* Reconstruct one schedule of value [v]: commit choice [ch] at [p],
+     then the first match at every position after it.  The committed
+     segment is simulated once more to step onto its outcome; a child
+     the search itself cut may have to be evaluated by [first_match]
+     (it memoizes as it goes, after the stats snapshot above and with
+     the budget disarmed). *)
+  let rec follow p (b, skip_final) v acc =
+    let acc = b :: acc in
+    match run_segment cursor ~switch_delay ~skip_final p b with
+    | Terminal (lifetime_steps, stranded_units) ->
+        (lifetime_steps, stranded_units, Array.of_list (List.rev acc))
+    | Next p' -> follow p' (first_match c p' v) v acc
+    | Exhausted -> raise Load_too_short
   in
-  match !trip_info with
-  | None ->
-      replay root;
-      let lifetime_steps, stranded_units = !final in
-      {
-        lifetime_steps;
-        stranded_units;
-        schedule = Array.of_list (List.rev !schedule);
-        status = Optimal;
-        stats;
-      }
-  | Some trip -> (
+  let finish status (lifetime_steps, stranded_units, schedule) =
+    { lifetime_steps; stranded_units; schedule; status; stats }
+  in
+  match outcome with
+  | Ok v -> finish Optimal (follow root (first_match c root v) v [])
+  | Error trip -> (
       Obs.incr c_exhausted;
       (* Anytime degradation: the best fully-evaluated first-decision
          branch — an exact value, replayable to a feasible schedule
          from the memo — floored by one best-of-two policy simulation.
          Whichever scores better is returned; the budget never turns
          into an exception here. *)
-      let floor_score, fl_steps, fl_stranded, fl_schedule =
+      let floor_score, floor_run =
         let o =
           Simulator.simulate ?initial ~switch_delay ~n_batteries
             ~policy:Policy.Best_of disc load
@@ -649,40 +639,26 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         | None -> raise Load_too_short
         | Some steps ->
             let stranded = Bank.stranded_units o.Simulator.final in
-            let schedule = Array.of_list (List.map snd o.Simulator.decisions) in
-            (score (steps, stranded), steps, stranded, schedule)
+            ( score (steps, stranded),
+              ( steps,
+                stranded,
+                Array.of_list (List.map snd o.Simulator.decisions) ) )
       in
       let best_branch =
         List.fold_left
-          (fun acc (c, v) ->
+          (fun acc (ch, v) ->
             match acc with
             | Some (_, bv) when bv >= v -> acc
-            | _ -> Some (c, v))
+            | _ -> Some (ch, v))
           None (List.rev !completed)
       in
       match best_branch with
-      | Some ((b0, sk0), v) when v >= floor_score ->
-          schedule := [ b0 ];
-          (match run_segment cursor ~switch_delay ~skip_final:sk0 root b0 with
-          | Terminal t -> final := t
-          | Next p1 -> replay p1
-          | Exhausted -> raise Load_too_short);
-          let lifetime_steps, stranded_units = !final in
-          {
-            lifetime_steps;
-            stranded_units;
-            schedule = Array.of_list (List.rev !schedule);
-            status = Budget_exhausted { trip; fallback = Search_prefix };
-            stats;
-          }
+      | Some (ch, v) when v >= floor_score ->
+          finish
+            (Budget_exhausted { trip; fallback = Search_prefix })
+            (follow root ch v [])
       | _ ->
-          {
-            lifetime_steps = fl_steps;
-            stranded_units = fl_stranded;
-            schedule = fl_schedule;
-            status = Budget_exhausted { trip; fallback = Policy_floor };
-            stats;
-          })
+          finish (Budget_exhausted { trip; fallback = Policy_floor }) floor_run)
 
 let lifetime ?pool ?budget ?switch_delay ?objective ?bounds
     ?allow_final_draw_skip ?initial ~n_batteries disc load =
@@ -709,8 +685,7 @@ type planner = {
   (* Cross-planner shared store: window values under the same scope
      fingerprint (load + pack + switch delay) are exact, so re-plans
      from different requests — and different worker domains — reuse
-     each other's subtrees.  Lookup falls through the private table;
-     stores publish to both. *)
+     each other's subtrees. *)
   p_shared : Memo.scope option;
 }
 
@@ -731,181 +706,64 @@ let planner ?(switch_delay = 1) ?bounds ?shared (disc : Dkibam.Discretization.t)
 
 let plan ?budget t ~frontier_epoch ~y ~local bank =
   let cursor = t.p_cursor and bd = t.p_bound in
-  let switch_delay = t.p_switch_delay in
   if y < 0 || y >= Loads.Cursor.epoch_count cursor then
     invalid_arg "Sched.Optimal.plan: y out of range";
   if local < 0 || local >= Loads.Cursor.epoch_len cursor y then
     invalid_arg "Sched.Optimal.plan: local out of range";
   if Bank.alive bank = [] then
     invalid_arg "Sched.Optimal.plan: no battery alive";
-  let charge () =
-    match budget with
-    | Some b -> Guard.Budget.charge_segment_exn b
-    | None -> ()
-  in
-  (* Admissible terminal value at the window frontier: the pooled-recovery
-     lower bound — every continuation from the frontier survives to at
-     least this step ([Bound.infinite]: none can die within the load). *)
-  let terminal (p : pos) = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-  let key_of (p : pos) =
-    let k = Key.of_pos p in
-    let key = Array.make (Array.length k + 1) frontier_epoch in
-    Array.blit k 0 key 1 (Array.length k);
-    key
-  in
-  (* Certified value of a position inside the window: max over battery
-     choices of (death step | terminal bound at the frontier |
-     [Bound.infinite] when the load ends first).  Every value is a death
-     step some continuation is proven to reach — committing the argmax
-     is therefore well-founded.  Cuts drop children whose lifetime upper
-     bound cannot beat an already-achieved sibling value: the dropped
-     child's window value is [<= ub <= best], so the stored max — and,
-     because [best] only ever grows along the first-max fold, the argmax
-     committed at the root — are unchanged (the bit-identity argument of
-     [search], replayed here). *)
-  let lookup key =
-    match Tbl.find_opt t.p_memo key with
-    | Some _ as v -> v
-    | None -> (
-        match t.p_shared with
-        | None -> None
-        | Some s -> (
-            match Memo.find s key with
-            | Some v ->
-                Tbl.replace t.p_memo key v;
-                Some v
-            | None -> None))
-  in
-  let store key v =
-    Tbl.replace t.p_memo key v;
-    match t.p_shared with Some s -> Memo.add s key v | None -> ()
-  in
-  let rec value (p : pos) =
-    let key = key_of p in
-    match lookup key with
-    | Some v -> v
-    | None ->
-        let best = ref min_int in
-        List.iter
-          (fun b ->
-            let v = child !best p b in
-            if v > !best then best := v)
-          (Bank.alive p.bank);
-        store key !best;
-        !best
-  and child best (p : pos) b =
-    charge ();
-    match run_segment cursor ~switch_delay ~skip_final:false p b with
-    | Terminal (step, _) -> step
-    | Exhausted -> Bound.infinite
-    | Next p' -> (
-        if p'.y >= frontier_epoch then terminal p'
-        else
-          (* memoized children — local or shared — are looked up before
-             the bound check, exactly as [search] does *)
-          match lookup (key_of p') with
-          | Some v -> v
-          | None ->
-              if
-                t.p_bounds_on
-                &&
-                let ub = Bound.lifetime_ub bd ~y:p'.y ~local:p'.local p'.bank in
-                ub < Bound.infinite && ub <= best
-              then min_int
-              else value p')
+  (* Certified window values: a position's value is the max over
+     battery choices of the death step, the terminal bound at the
+     frontier, or [Bound.infinite] when the load ends first.  Every
+     value is a death step some continuation is proven to reach, so
+     committing the argmax is well-founded.  Plan nodes stay unseeded:
+     the search's floor [lifetime_lb] is exact there only because every
+     continuation runs to a death, while a window value may come from
+     the frontier bound instead. *)
+  let c =
+    {
+      cursor;
+      switch_delay = t.p_switch_delay;
+      skips = [ false ];
+      frontier = frontier_epoch;
+      (* admissible terminal value: the pooled-recovery lower bound —
+         every continuation from the frontier survives to at least this
+         step ([Bound.infinite]: none can die within the load) *)
+      terminal = (fun p -> Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank);
+      outlived = (fun () -> Bound.infinite);
+      score = fst;
+      ub =
+        (if t.p_bounds_on then (fun p ->
+           let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
+           if ub < Bound.infinite then ub else max_int)
+         else no_cut);
+      floor = (fun _ -> min_int);
+      key =
+        (fun p ->
+          let k = Key.of_pos p in
+          let key = Array.make (Array.length k + 1) frontier_epoch in
+          Array.blit k 0 key 1 (Array.length k);
+          key);
+      table = t.p_memo;
+      shared = t.p_shared;
+      charge =
+        (match budget with
+        | Some b -> fun () -> Guard.Budget.charge_segment_exn b
+        | None -> ignore);
+      on_miss = ignore;
+      work = fresh_work ();
+    }
   in
   let root = { y; local; bank } in
+  let choice = ref (-1) and best = ref min_int in
   match
-    let best_b = ref (-1) and best_v = ref min_int in
-    List.iter
-      (fun b ->
-        let v = child !best_v root b in
-        if v > !best_v then begin
-          best_v := v;
-          best_b := b
+    value c ~depth:0 ~seed:min_int
+      ~on_child:(fun (b, _) v ->
+        if v > !best then begin
+          best := v;
+          choice := b
         end)
-      (Bank.alive bank);
-    store (key_of root) !best_v;
-    { plan_choice = !best_b; plan_value = !best_v }
+      (c.key root) root
   with
-  | p -> Some p
+  | v -> Some { plan_choice = !choice; plan_value = v }
   | exception Guard.Budget.Tripped _ -> None
-
-let lookahead_policy ?(switch_delay = 1) ?(allow_final_draw_skip = false)
-    ~depth (disc : Dkibam.Discretization.t) (load : Loads.Arrays.t) =
-  if depth < 1 then invalid_arg "Sched.Optimal.lookahead_policy: depth >= 1";
-  Loads.Arrays.check_compatible load ~time_step:disc.time_step
-    ~charge_unit:disc.charge_unit;
-  let cursor = Loads.Cursor.make load in
-  let skip_options = if allow_final_draw_skip then [ false; true ] else [ false ] in
-  (* score of continuing from [p] with [d] decisions of lookahead left:
-     (died?, death step or frontier charge) encoded so that later deaths
-     beat earlier ones and any survivor beats every death.  The frontier
-     score is the remaining available charge over alive batteries. *)
-  let survivor_bonus = 1 lsl 40 in
-  let rec value d (p : pos) =
-    if d = 0 then survivor_bonus + Bank.alive_available_milli p.bank
-    else begin
-      let best = ref min_int in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun skip_final ->
-              let v =
-                match run_segment cursor ~switch_delay ~skip_final p b with
-                | Terminal (step, _) -> step
-                | Next p' -> value (d - 1) p'
-                | Exhausted ->
-                    (* outliving the load is the best possible outcome *)
-                    survivor_bonus * 2
-              in
-              if v > !best then best := v)
-            skip_options)
-        (Bank.alive p.bank);
-      !best
-    end
-  in
-  let decide (ctx : Policy.decision_context) =
-    let epoch_start_step = Loads.Cursor.epoch_start cursor ctx.epoch_index in
-    (* at a mid-job hand-over the simulator applies the switch delay
-       after consulting the policy: model the continuation from the
-       post-delay state *)
-    let delay = if ctx.mid_job then switch_delay else 0 in
-    let p =
-      {
-        y = ctx.epoch_index;
-        local = ctx.step - epoch_start_step + delay;
-        bank =
-          Bank.of_parts disc
-            ~batteries:
-              (Array.map (fun b -> Dkibam.Battery.tick_many disc delay b)
-                 ctx.batteries)
-            ~dead:
-              (Array.init (Array.length ctx.batteries) (fun i ->
-                   not (List.mem i ctx.alive)));
-      }
-    in
-    let scored =
-      List.map
-        (fun b ->
-          let v =
-            List.fold_left
-              (fun acc skip_final ->
-                let v =
-                  match run_segment cursor ~switch_delay ~skip_final p b with
-                  | Terminal (step, _) -> step
-                  | Next p' -> value (depth - 1) p'
-                  | Exhausted -> survivor_bonus * 2
-                in
-                max acc v)
-              min_int skip_options
-          in
-          (b, v))
-        ctx.alive
-    in
-    fst
-      (List.fold_left
-         (fun (bb, bv) (b, v) -> if v > bv then (b, v) else (bb, bv))
-         (-1, min_int) scored)
-  in
-  Policy.Custom decide

@@ -25,6 +25,14 @@
     [BATSCHED_NO_BOUNDS=1]) for the unpruned A/B reference —
     see doc/PERFORMANCE.md.
 
+    {!search} and the receding-horizon planner's {!plan} run one
+    depth-first core: the exact search is a plan whose window frontier
+    lies past the end of the load, scored by the objective instead of
+    by lifetime, with every node seeded by its achievable floor.  Its
+    serial root, its pooled root branches, its schedule replay and the
+    planner's root choice all step through that core, so the two
+    searches explore, cut and break ties identically.
+
     The hand-over semantics (including the one-step switch delay) are
     exactly those of {!Simulator}, so an optimal schedule replayed through
     {!Simulator.simulate} with [Policy.Fixed] reproduces the same
@@ -231,34 +239,11 @@ val lifetime :
     {!Dkibam.Discretization.minutes_of_steps}; [pool] and [budget] as in
     [search] — under a tripped budget this is the anytime lifetime). *)
 
-(** {2 Bounded lookahead}
-
-    Between best-of (depth 0 heuristics) and the exhaustive search lies a
-    spectrum: evaluate each candidate battery by searching only [depth]
-    scheduling decisions ahead and scoring the frontier heuristically
-    (died: by death time; alive: by remaining available charge).  Such a
-    policy is implementable on a real device — it needs only bounded
-    knowledge of the upcoming load — which is exactly the gap the paper's
-    conclusion points at ("the optimal scheduler can only be used when
-    the load is known in advance").  The ablation bench sweeps [depth]
-    from 1 upward and watches the lifetimes climb toward the optimum. *)
-
-val lookahead_policy :
-  ?switch_delay:int ->
-  ?allow_final_draw_skip:bool ->
-  depth:int ->
-  Dkibam.Discretization.t ->
-  Loads.Arrays.t ->
-  Policy.t
-(** [lookahead_policy ~depth disc load]: a {!Policy.Custom} that searches
-    [depth >= 1] decisions ahead at every scheduling point.  The policy
-    closes over [load]; feeding it to a simulation of a different load
-    raises [Invalid_argument]. *)
-
 (** {2 Suffix planning with a terminal bound}
 
-    The search core of the receding-horizon policy ({!Horizon}): an
-    exact, memoized, bound-pruned search over a {e window} of the load —
+    The search core of the receding-horizon policy ({!Horizon}): the
+    exact search's own memoized, bound-pruned core, run over a
+    {e window} of the load —
     from an arbitrary decision point up to a frontier epoch — with the
     admissible pooled-recovery lower bound of {!Bound.lifetime_lb} as
     the terminal value at the frontier.  Every window value is a death

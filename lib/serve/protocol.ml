@@ -90,8 +90,6 @@ let in_range ~field ~lo ~hi n =
          ~accepted:(Printf.sprintf "an integer in [%d, %d]" lo hi)
          "field out of range")
 
-let max_spec_epochs = 20_000
-
 (* ---------------------------------------------------------------- *)
 (* Request parsing                                                  *)
 (* ---------------------------------------------------------------- *)
@@ -118,14 +116,7 @@ let parse_load json =
       let* s = as_string ~field:"spec" j in
       match Loads.Spec.parse_result s with
       | Error e -> Error e
-      | Ok epochs ->
-          if Loads.Epoch.epoch_count epochs > max_spec_epochs then
-            Error
-              (err ~field:"spec"
-                 ~value:(string_of_int (Loads.Epoch.epoch_count epochs))
-                 ~accepted:(Printf.sprintf "at most %d epochs" max_spec_epochs)
-                 "spec load too long")
-          else Ok (Spec (epochs, Loads.Spec.to_string epochs)))
+      | Ok epochs -> Ok (Spec (epochs, Loads.Spec.to_string epochs)))
   | None, None ->
       Error
         (err ~field:"load" ~accepted:"a test-load name or a \"spec\" field"

@@ -84,6 +84,15 @@ let test_differential_table5 () =
                   disc_name obj_name
               in
               check_identical ~what on off;
+              (* both runs, work included, against the frozen answers *)
+              List.iter
+                (fun (mode, r) ->
+                  Answers.check_search ~work:true
+                    (Printf.sprintf "search %s %s %s %s" disc_name
+                       (Loads.Testloads.to_string name)
+                       obj_name (Answers.bounds_tag mode))
+                    r)
+                [ (true, on); (false, off) ];
               check_int (what ^ ": cuts with bounds off") 0
                 off.stats.bound_cuts;
               (* a cut subtree is never simulated: the bounded search can
@@ -161,7 +170,7 @@ let test_differential_random () =
 (* A policy that records every decision context while delegating the
    actual choice, so a simulated run yields the exact search positions
    it passed through.  The ctx -> position construction mirrors
-   [Optimal.lookahead_policy]: at a mid-job hand-over the simulator
+   [Horizon.policy]: at a mid-job hand-over the simulator
    applies the switch delay after consulting the policy, so the bound is
    queried at the post-delay state. *)
 let recording_policy inner recorded =

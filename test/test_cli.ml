@@ -49,6 +49,9 @@ let table =
     ("validation: bad budget flag", "schedule --max-segments 0 cl_alt", 2);
     ("budget exhausted: anytime exit", "schedule --max-segments 1 cl_alt", 3);
     ("budget exhausted: compare", "compare --max-segments 1 cl_alt", 3);
+    ( "validation: spec too long",
+      {|compare --spec "repeat 30000 (repeat 30000 (job 0.5 1))"|},
+      2 );
   ]
 
 let () =

@@ -421,6 +421,10 @@ let test_optimal_ample_budget_bit_identical () =
       let budgeted = Sched.Optimal.search ~budget ~n_batteries:2 disc a in
       let label = Loads.Testloads.to_string name in
       check_status label `Optimal budgeted;
+      Answers.check_search ~work:true
+        (Printf.sprintf "search B1 %s max-lifetime %s" label
+           (Answers.bounds_tag (Answers.default_bounds ())))
+        budgeted;
       check_int (label ^ " lifetime") plain.lifetime_steps budgeted.lifetime_steps;
       check_int (label ^ " stranded") plain.stranded_units budgeted.stranded_units;
       Alcotest.(check (array int)) (label ^ " schedule") plain.schedule budgeted.schedule;
@@ -452,6 +456,14 @@ let test_optimal_tight_budget_anytime () =
             Printf.sprintf "%s (max_segments=%d)" (Loads.Testloads.to_string name)
               max_segments
           in
+          (* which branches complete under the cap depends on the bound
+             mode, so the frozen answer is looked up under the mode run *)
+          Answers.check_search ~work:true
+            (Printf.sprintf "budget %s max-segments=%d %s"
+               (Loads.Testloads.to_string name)
+               max_segments
+               (Answers.bounds_tag (Answers.default_bounds ())))
+            r;
           (match r.Sched.Optimal.status with
           | Sched.Optimal.Optimal ->
               let plain = Sched.Optimal.search ~n_batteries:2 disc a in

@@ -216,13 +216,13 @@ let test_paper_data_sanity () =
     Batsched.Paper_data.table3
 
 let test_lookahead_sweep_shape () =
-  let rows = Batsched.Experiments.lookahead_sweep ~depths:[ 2; 6 ] () in
+  let rows = Batsched.Experiments.lookahead_sweep ~ks:[ 2; 6 ] () in
   Alcotest.(check int) "4 rows" 4 (List.length rows);
-  (* last row is the optimum; depth-6 must be within 0.1 of it on r1 *)
+  (* last row is the optimum; k = 6 must be within 0.1 of it on r1 *)
   match (List.nth rows 2, List.nth rows 3) with
   | (Some 6, la6), (None, opt) ->
       Alcotest.(check bool)
-        (Printf.sprintf "lookahead-6 %.2f ~ optimal %.2f" la6 opt)
+        (Printf.sprintf "horizon-6 %.2f ~ optimal %.2f" la6 opt)
         true
         (opt -. la6 <= 0.1)
   | _ -> Alcotest.fail "unexpected row structure"

@@ -467,6 +467,175 @@ let test_spec_errors () =
   fails "job 0.5 1 )";
   fails "job -0.5 1"
 
+(* The refusals: nested repeats that would expand to 9 M and 900 M
+   epochs, and a repeat count of [max_int], are refused before a single
+   copy is built (the test would run out of memory otherwise) — with a
+   structured error, so the CLI exits 2 and the daemon answers
+   ["ok":false]. *)
+let test_spec_size_limit () =
+  let refused s =
+    match Loads.Spec.parse_result s with
+    | Ok l ->
+        Alcotest.failf "%S accepted (%d epochs)" s (Loads.Epoch.epoch_count l)
+    | Error e ->
+        Alcotest.(check string) (s ^ ": subsystem") "loads.spec" e.subsystem;
+        Alcotest.(check string) (s ^ ": what") "spec load too long" e.what;
+        Alcotest.(check (option string)) (s ^ ": input") (Some s) e.input
+  in
+  refused "repeat 3000 (repeat 3000 (job 0.5 1))";
+  refused "repeat 30000 (repeat 30000 (job 0.5 1))";
+  refused "repeat 4611686018427387903 (job 1 1)";
+  (* counted as repeat expands them, before the copies' idles merge *)
+  refused "repeat 30000 (idle 1)";
+  refused (String.concat "; " (List.init 20_001 (fun _ -> "job 0.5 1")));
+  let at_limit = Loads.Spec.parse "repeat 10000 (job 0.5 1; idle 1)" in
+  check_int "exactly the limit" Loads.Spec.max_epochs
+    (Loads.Epoch.epoch_count at_limit)
+
+(* The parser as it was before sequences were joined in one pass: every
+   item appended to the already-parsed rest with [Epoch.append]
+   (quadratic), and no size limit.  Kept as the reference the linear
+   parser must reproduce bit for bit; [None] is any parse error. *)
+let reference_parse input =
+  let tokens = ref [] and buf = Buffer.create 16 in
+  let flush () =
+    if Buffer.length buf > 0 then begin
+      tokens := Buffer.contents buf :: !tokens;
+      Buffer.clear buf
+    end
+  in
+  String.iter
+    (function
+      | ' ' | '\t' | '\n' | '\r' -> flush ()
+      | (';' | '(' | ')') as c ->
+          flush ();
+          tokens := String.make 1 c :: !tokens
+      | c -> Buffer.add_char buf c)
+    input;
+  flush ();
+  tokens := List.rev !tokens;
+  let peek () = match !tokens with t :: _ -> Some t | [] -> None in
+  let next () =
+    match !tokens with
+    | t :: rest ->
+        tokens := rest;
+        Some t
+    | [] -> None
+  in
+  let positive conv = function
+    | Some t -> ( match conv t with Some v when v > 0 -> v | _ -> raise Exit)
+    | None -> raise Exit
+  in
+  let pos_float tok =
+    match Option.bind tok float_of_string_opt with
+    | Some f when f > 0.0 -> f
+    | _ -> raise Exit
+  in
+  let rec seq () =
+    let first = item () in
+    match peek () with
+    | Some ";" ->
+        ignore (next ());
+        Loads.Epoch.append first (seq ())
+    | _ -> first
+  and item () =
+    match next () with
+    | Some "job" ->
+        let current = pos_float (next ()) in
+        let duration = pos_float (next ()) in
+        Loads.Epoch.job ~current ~duration
+    | Some "idle" -> Loads.Epoch.idle (pos_float (next ()))
+    | Some "repeat" ->
+        let n = positive int_of_string_opt (next ()) in
+        if next () <> Some "(" then raise Exit;
+        let body = seq () in
+        if next () <> Some ")" then raise Exit;
+        Loads.Epoch.repeat n body
+    | Some name -> (
+        match Loads.Testloads.of_string name with
+        | Some l -> Loads.Testloads.load l
+        | None -> raise Exit)
+    | None -> raise Exit
+  in
+  match
+    let l = seq () in
+    if peek () <> None then raise Exit;
+    l
+  with
+  | l -> Some l
+  | exception Exit -> None
+
+(* Random specs, seeded from CHAOS_SEED (printed; export it to replay a
+   failure).  Idle lengths whose float sums depend on association make
+   any change in how idles merge visible.  [size] bounds the epochs a
+   spec can count before merging: within the limit, the two parsers must
+   agree exactly, refusals included; beyond it, the new parser may also
+   refuse with "spec load too long".  Repeat counts are capped so no
+   repeat expands past 1.5x the limit: the reference builds whatever it
+   is given.  A fifth of the specs are mangled into (mostly) malformed
+   input, by edits that cannot deepen the nesting. *)
+let test_spec_differential () =
+  let seed = Guard.Chaos.seed_from_env ~default:20261018L () in
+  Printf.printf "test_loads: CHAOS_SEED=%Ld\n%!" seed;
+  let st = Random.State.make [| Int64.to_int seed |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let rec gen_seq depth =
+    let items =
+      List.init (1 + Random.State.int st 4) (fun _ -> gen_item depth)
+    in
+    ( String.concat "; " (List.map fst items),
+      List.fold_left (fun n (_, k) -> n + k) 0 items )
+  and gen_item depth =
+    match Random.State.int st (if depth > 0 then 6 else 5) with
+    | 0 ->
+        ( Printf.sprintf "job %s %s" (pick [| "0.25"; "0.5"; "0.3" |])
+            (pick [| "1"; "0.5"; "2" |]),
+          1 )
+    | 1 | 2 | 3 ->
+        ("idle " ^ pick [| "0.1"; "0.2"; "0.7"; "1.3"; "3" |], 1)
+    | 4 ->
+        let name, load =
+          pick
+            Loads.Testloads.
+              [| ("cl_500", CL_500); ("cl_alt", CL_alt); ("ils_alt", ILs_alt) |]
+        in
+        (name, Loads.Epoch.epoch_count (Loads.Testloads.load load))
+    | _ ->
+        let body, k = gen_seq (depth - 1) in
+        let n = max 1 (min (pick [| 1; 2; 3; 7; 40; 400 |]) (30_000 / k)) in
+        (Printf.sprintf "repeat %d (%s)" n body, n * k)
+  in
+  let mangle s =
+    match Random.State.int st 3 with
+    | 0 -> String.sub s 0 (Random.State.int st (String.length s))
+    | 1 ->
+        let i = Random.State.int st (String.length s) in
+        String.mapi (fun j c -> if j = i then pick [| ';'; 'x'; '-' |] else c) s
+    | _ -> s ^ pick [| ")"; "; idle"; " 1" |]
+  in
+  let agreed = ref 0 in
+  for _ = 1 to 2_000 do
+    let spec, size = gen_seq 3 in
+    let mangled = Random.State.int st 5 = 0 in
+    let spec = if mangled then mangle spec else spec in
+    match (reference_parse spec, Loads.Spec.parse_result spec) with
+    | Some a, Ok b ->
+        if Loads.Epoch.epochs a <> Loads.Epoch.epochs b then
+          Alcotest.failf "%S: the parsers disagree" spec;
+        incr agreed
+    | None, Error _ -> incr agreed
+    | Some _, Error e
+      when (mangled || size > Loads.Spec.max_epochs)
+           && e.Guard.Error.what = "spec load too long" -> ()
+    | Some _, Error e ->
+        Alcotest.failf "%S: refused (%s) but the reference parses it" spec
+          (Guard.Error.to_string e)
+    | None, Ok _ ->
+        Alcotest.failf "%S: accepted but the reference refuses it" spec
+  done;
+  if !agreed < 1_800 then
+    Alcotest.failf "only %d of 2000 specs compared" !agreed
+
 let () =
   Alcotest.run "loads"
     [
@@ -515,6 +684,9 @@ let () =
           Alcotest.test_case "named load" `Quick test_spec_named_load;
           Alcotest.test_case "roundtrip" `Quick test_spec_roundtrip;
           Alcotest.test_case "errors" `Quick test_spec_errors;
+          Alcotest.test_case "size limit" `Quick test_spec_size_limit;
+          Alcotest.test_case "differential vs append parser" `Quick
+            test_spec_differential;
         ] );
       ( "test loads",
         [

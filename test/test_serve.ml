@@ -130,6 +130,8 @@ let wrong_shape =
     {|{"op":"schedule","load":"cl_alt","n":0}|};
     {|{"op":"schedule","load":"cl_alt","n":99}|};
     {|{"op":"schedule","spec":"repeat -3 (job"}|};
+    (* 900 M epochs if expanded: refused before it is *)
+    {|{"op":"schedule","spec":"repeat 30000 (repeat 30000 (job 0.5 1))"}|};
     {|{"op":"montecarlo","samples":-5}|};
     {|{"op":"montecarlo","slots":1000000}|};
     {|{"op":"ensemble","loads":0}|};
