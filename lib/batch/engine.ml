@@ -9,10 +9,13 @@
    than by testing alone.
 
    The inner loops allocate nothing: lane state lives in the batch's
-   single backing buffer, the compiled load schedules are shared
-   read-only arrays, and policy decisions are computed straight off the
-   planes (the scalar path's per-decision bank snapshot and alive-list
-   allocations are exactly what this engine exists to avoid). *)
+   single backing buffer, every transition goes through one scratch
+   [Dkibam.Kernel.cell] allocated per run, the loops are written over
+   local refs rather than per-call closures, the compiled load
+   schedules are shared read-only arrays, and policy decisions are
+   computed straight off the planes (the scalar path's per-decision
+   bank snapshot and alive-list allocations are exactly what this
+   engine exists to avoid). *)
 
 let c_steps = Obs.counter "batch.steps"
 let c_lanes = Obs.counter "batch.lanes"
@@ -55,29 +58,34 @@ let run ?(switch_delay = 1) ~n_batteries (disc : Dkibam.Discretization.t)
   (* -------------------------------------------------------------- *)
   (* Per-lane primitives — all state access through the flat planes *)
   (* -------------------------------------------------------------- *)
+  (* The one scratch cell every kernel transition of this run goes
+     through: a battery is loaded, transformed and stored back. *)
+  let c = { Dkibam.Kernel.n = 0; m = 0; clock = 0 } in
+  let recover j k =
+    c.Dkibam.Kernel.m <- A.unsafe_get st.State.m_delta j;
+    c.Dkibam.Kernel.clock <- A.unsafe_get st.State.recov_clock j;
+    Dkibam.Kernel.tick disc c k;
+    A.unsafe_set st.State.m_delta j c.Dkibam.Kernel.m;
+    A.unsafe_set st.State.recov_clock j c.Dkibam.Kernel.clock
+  in
   let tick_lane l k =
     (* Sched.Bank.tick_all: every battery recovers, dead ones included
        (paper section 4.3). *)
     if k > 0 then begin
       let b0 = l * nb in
       for j = b0 to b0 + nb - 1 do
-        let m, clock =
-          Dkibam.Kernel.tick disc ~m:(A.unsafe_get st.State.m_delta j)
-            ~clock:(A.unsafe_get st.State.recov_clock j)
-            ~steps:k
-        in
-        A.unsafe_set st.State.m_delta j m;
-        A.unsafe_set st.State.recov_clock j clock
+        recover j k
       done;
       st.State.steps <- st.State.steps + (k * nb)
     end
   in
   let first_alive l =
     let b0 = l * nb in
-    let rec go j =
-      if j >= nb then 0 else if A.unsafe_get st.State.dead (b0 + j) = 0 then j else go (j + 1)
-    in
-    go 0
+    let j = ref 0 in
+    while !j < nb && A.unsafe_get st.State.dead (b0 + !j) <> 0 do
+      incr j
+    done;
+    if !j >= nb then 0 else !j
   in
   let best_of l =
     (* Sched.Policy.best_of: highest available charge among alive
@@ -104,12 +112,12 @@ let run ?(switch_delay = 1) ~n_batteries (disc : Dkibam.Discretization.t)
     (* Sched.Policy round robin: [pol_state] is the cyclic cursor — the
        id after the previously chosen one; skip dead batteries. *)
     let b0 = l * nb in
-    let rec find k count =
-      if count > nb then first_alive l
-      else if A.unsafe_get st.State.dead (b0 + (k mod nb)) = 0 then k mod nb
-      else find (k + 1) (count + 1)
-    in
-    let chosen = find (A.unsafe_get st.State.pol_state l) 0 in
+    let k = ref (A.unsafe_get st.State.pol_state l) and count = ref 0 in
+    while !count <= nb && A.unsafe_get st.State.dead (b0 + (!k mod nb)) <> 0 do
+      incr k;
+      incr count
+    done;
+    let chosen = if !count > nb then first_alive l else !k mod nb in
     A.unsafe_set st.State.pol_state l (chosen + 1);
     chosen
   in
@@ -131,26 +139,28 @@ let run ?(switch_delay = 1) ~n_batteries (disc : Dkibam.Discretization.t)
         end
         else best_of l
   in
-  let draw_from l b ~cur =
-    (* Sched.Bank.draw_from: the draw is fatal when the battery lacks
-       the charge units (state untouched) or satisfies the emptiness
-       test of eq. (8) immediately after the draw. *)
+  let serve_span l b ~ct ~cur ~draws ~rest =
+    (* Sched.Bank.serve: battery [b] serves the whole span in one kernel
+       call, then every other battery recovers the elapsed steps in one
+       jump.  Returns the kernel's fatal-draw index (0: completed); a
+       fatal draw marks [b] dead. *)
     let idx = (l * nb) + b in
-    let n = A.unsafe_get st.State.n_gamma idx in
-    let fatal =
-      n < cur
-      ||
-      let n', m', clock' =
-        Dkibam.Kernel.draw disc ~n ~m:(A.unsafe_get st.State.m_delta idx)
-          ~clock:(A.unsafe_get st.State.recov_clock idx)
-          ~cur
-      in
-      A.unsafe_set st.State.n_gamma idx n';
-      A.unsafe_set st.State.m_delta idx m';
-      A.unsafe_set st.State.recov_clock idx clock';
-      Dkibam.Kernel.is_empty disc ~n:n' ~m:m'
-    in
-    if fatal then begin
+    c.Dkibam.Kernel.n <- A.unsafe_get st.State.n_gamma idx;
+    c.Dkibam.Kernel.m <- A.unsafe_get st.State.m_delta idx;
+    c.Dkibam.Kernel.clock <- A.unsafe_get st.State.recov_clock idx;
+    let fatal = Dkibam.Kernel.serve disc c ~ct ~cur ~draws ~rest in
+    A.unsafe_set st.State.n_gamma idx c.Dkibam.Kernel.n;
+    A.unsafe_set st.State.m_delta idx c.Dkibam.Kernel.m;
+    A.unsafe_set st.State.recov_clock idx c.Dkibam.Kernel.clock;
+    let k = Dkibam.Kernel.elapsed ~ct ~draws ~rest fatal in
+    if k > 0 then begin
+      let b0 = l * nb in
+      for j = b0 to b0 + nb - 1 do
+        if j <> idx then recover j k
+      done;
+      st.State.steps <- st.State.steps + (k * nb)
+    end;
+    if fatal > 0 then begin
       A.unsafe_set st.State.dead idx 1;
       A.unsafe_set st.State.alive l (A.unsafe_get st.State.alive l - 1)
     end;
@@ -171,48 +181,36 @@ let run ?(switch_delay = 1) ~n_batteries (disc : Dkibam.Discretization.t)
   (* -------------------------------------------------------------- *)
   let serve_job l (cl : Loads.Cursor.compiled) y ~start ~len =
     let ct = Array.unsafe_get cl.c_ct y and cur = Array.unsafe_get cl.c_cur y in
-    (* [serve b local]: battery [b] serving from local offset [local];
-       the draw cadence restarts here (the go_on semantics). *)
-    let rec serve b local =
-      let draws, rest =
-        if local = 0 then (Array.unsafe_get cl.c_draws y, Array.unsafe_get cl.c_rest y)
-        else begin
-          let span = len - local in
-          let d = span / ct in
-          (d, span - (d * ct))
+    (* battery [b] serves from local offset [local]; the draw cadence
+       restarts there (the go_on semantics) *)
+    let b = ref (choose l) and local = ref 0 and serving = ref true in
+    while !serving do
+      let draws = (len - !local) / ct in
+      let rest = len - !local - (draws * ct) in
+      let fatal = serve_span l !b ~ct ~cur ~draws ~rest in
+      if fatal = 0 then serving := false
+      else begin
+        let local' = !local + (fatal * ct) in
+        if A.unsafe_get st.State.alive l = 0 then begin
+          finish_lane l ~lifetime:(start + local');
+          serving := false
         end
-      in
-      (* death offset from the span's first step, or -1 when the span
-         completed (trailing rest ticked, as in Sched.Bank.serve) *)
-      let rec go i =
-        if i > draws then begin
-          tick_lane l rest;
-          -1
-        end
-        else begin
-          tick_lane l ct;
-          if draw_from l b ~cur then i * ct else go (i + 1)
-        end
-      in
-      let off = go 1 in
-      if off >= 0 then begin
-        let local' = local + off in
-        let death_step = start + local' in
-        if A.unsafe_get st.State.alive l = 0 then finish_lane l ~lifetime:death_step
         else begin
           (* the emptied -> new_job -> go_on hand-over chain consumes
              [switch_delay] steps before the replacement starts *)
           let resume = local' + switch_delay in
           if resume < len then begin
-            let b' = choose l in
+            b := choose l;
             tick_lane l switch_delay;
-            serve b' resume
+            local := resume
           end
-          else if len > local' then tick_lane l (len - local')
+          else begin
+            if len > local' then tick_lane l (len - local');
+            serving := false
+          end
         end
       end
-    in
-    serve (choose l) 0
+    done
   in
   let advance_epoch l =
     let cl = loads.(Array.unsafe_get st.State.load_of l) in

@@ -36,27 +36,29 @@ let make_result ?input (d : Discretization.t) ~n_gamma ~m_delta ~recov_clock =
 (* The transition arithmetic lives in [Kernel], shared with the
    struct-of-arrays batch engine; this module only boxes it. *)
 
-let tick d b =
-  let m_delta, recov_clock =
-    Kernel.tick d ~m:b.m_delta ~clock:b.recov_clock ~steps:1
-  in
-  { b with m_delta; recov_clock }
+let to_cell b = { Kernel.n = b.n_gamma; m = b.m_delta; clock = b.recov_clock }
+
+let of_cell (c : Kernel.cell) =
+  { n_gamma = c.n; m_delta = c.m; recov_clock = c.clock }
 
 let tick_many d k b =
   if k < 0 then invalid_arg "Dkibam.Battery.tick_many: negative step count";
-  let m_delta, recov_clock =
-    Kernel.tick d ~m:b.m_delta ~clock:b.recov_clock ~steps:k
-  in
-  { b with m_delta; recov_clock }
+  if k = 0 then b
+  else begin
+    let c = to_cell b in
+    Kernel.tick d c k;
+    of_cell c
+  end
+
+let tick d b = tick_many d 1 b
 
 let draw d ~cur b =
   if cur < 1 then invalid_arg "Dkibam.Battery.draw: cur must be >= 1";
   if b.n_gamma < cur then
     invalid_arg "Dkibam.Battery.draw: not enough charge units left";
-  let n_gamma, m_delta, recov_clock =
-    Kernel.draw d ~n:b.n_gamma ~m:b.m_delta ~clock:b.recov_clock ~cur
-  in
-  { n_gamma; m_delta; recov_clock }
+  let c = to_cell b in
+  Kernel.draw d c ~cur;
+  of_cell c
 
 let is_empty d b = Discretization.is_empty d ~n:b.n_gamma ~m:b.m_delta
 

@@ -53,6 +53,14 @@ val draw : Discretization.t -> cur:int -> t -> t
 (** One discharge event of [cur >= 1] units.  Raises [Invalid_argument]
     if the battery does not hold [cur] units. *)
 
+val to_cell : t -> Kernel.cell
+(** A fresh {!Kernel.cell} holding this state, for serving a span with
+    {!Kernel.serve}. *)
+
+val of_cell : Kernel.cell -> t
+(** The state a {!Kernel} transition left in a cell.  Unvalidated: the
+    kernel's transitions keep every range {!make} checks. *)
+
 val is_empty : Discretization.t -> t -> bool
 val available_milli_units : Discretization.t -> t -> int
 

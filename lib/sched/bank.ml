@@ -63,16 +63,26 @@ let stranded t = stranded_units t.batteries
 
 type serve_outcome = Completed | Died of int
 
-let serve ?tick t ~b (sch : Loads.Cursor.schedule) =
-  let tick = match tick with Some f -> f | None -> tick_all t in
-  let rec go i =
-    if i > sch.draws then begin
-      if sch.rest > 0 then tick sch.rest;
-      Completed
-    end
-    else begin
-      tick sch.ct;
-      if draw_from t b ~cur:sch.cur then Died (i * sch.ct) else go (i + 1)
-    end
+(* The serving battery runs the whole span in one kernel call; every
+   other battery (dead ones keep recovering) then advances once by the
+   span's elapsed steps, which recovery's composition law makes exactly
+   the per-draw interleaving. *)
+let serve t ~b (sch : Loads.Cursor.schedule) =
+  let c = Dkibam.Battery.to_cell t.batteries.(b) in
+  let fatal =
+    Dkibam.Kernel.serve t.disc c ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws
+      ~rest:sch.rest
   in
-  go 1
+  t.batteries.(b) <- Dkibam.Battery.of_cell c;
+  let steps =
+    Dkibam.Kernel.elapsed ~ct:sch.ct ~draws:sch.draws ~rest:sch.rest fatal
+  in
+  for i = 0 to Array.length t.batteries - 1 do
+    if i <> b then
+      t.batteries.(i) <- Dkibam.Battery.tick_many t.disc steps t.batteries.(i)
+  done;
+  if fatal = 0 then Completed
+  else begin
+    t.dead.(b) <- true;
+    Died steps
+  end

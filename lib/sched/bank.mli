@@ -68,10 +68,13 @@ type serve_outcome =
           many steps after the span's first step; the trailing steps have
           {e not} been ticked — hand-over timing is the driver's call *)
 
-val serve :
-  ?tick:(int -> unit) -> t -> b:int -> Loads.Cursor.schedule -> serve_outcome
+val serve : t -> b:int -> Loads.Cursor.schedule -> serve_outcome
 (** [serve t ~b sch]: battery [b] serves the span described by [sch] —
-    for each scheduled draw, [tick] the whole bank [sch.ct] steps and
-    apply {!draw_from}; after the last draw, [tick] the trailing
-    [sch.rest].  [tick] defaults to {!tick_all} and is overridable so a
-    driver can interleave trace sampling with the same semantics. *)
+    for each scheduled draw, the whole bank recovers [sch.ct] steps and
+    [b] serves the draw as in {!draw_from}; after the last draw the bank
+    recovers the trailing [sch.rest].  Runs as one
+    [Dkibam.Kernel.serve] call for [b] plus one recovery jump per other
+    battery, so a span costs O(batteries + draws) with no per-draw
+    allocation.  A caller that must observe states inside a span
+    (trace sampling) cuts it into sub-spans of the same schedule
+    type. *)

@@ -1,6 +1,7 @@
 (* Admissible bounds from the KiBaM physics — see the .mli for the
-   derivations.  Everything load-shaped is precomputed here as suffix
-   arrays so a per-position query costs O(batteries + log epochs). *)
+   derivations.  Everything load-shaped is precomputed here, as suffix
+   arrays and as the availability bound's hull tree, so a per-position
+   query costs O(batteries + log^2 epochs). *)
 
 type t = {
   disc : Dkibam.Discretization.t;
@@ -11,9 +12,115 @@ type t = {
       (* [e] -> fewest units epochs [e..] can be made to demand *)
   draws_after : int array;  (* [e] -> canonical draw count of epochs [e..] *)
   max_cur_after : int array;  (* [e] -> largest per-draw current in [e..] *)
+  hulls : hulls option;  (* [None]: products could overflow; queries scan *)
+}
+
+(* The availability bound's crossing search.  For every epoch [e] after
+   the query's own, [avail_ub]'s test "minimum demand at [e]'s last draw
+   outruns supply plus gain" reads [A_e - g*T_e > C]: [T_e] (the step of
+   the last draw) and [A_e = -scale * min_units_after (e+1)] are fixed
+   per load, the gain slope [g] and the constant [C] per query.  Only
+   job epochs with at least one draw can cross, so they are the points,
+   in epoch order (their [T_e] strictly increase).  A segment tree over
+   the points holds, per node, the upper convex hull of its range; a
+   node's maximum of [A - g*T] sits on its hull where the edge slope
+   drops to [g] (a binary search), and the first point above the line
+   is found by descending through O(log points) nodes: O(log^2 points)
+   per query, O(points * log points) to build. *)
+and hulls = {
+  px : int array;  (* point -> T_e *)
+  py : int array;  (* point -> -min_units_after (e+1), so A_e = scale * py *)
+  pe : int array;  (* point -> e *)
+  first : int array;  (* epoch y -> first point with epoch >= y *)
+  off : int array;  (* tree node -> start of its hull in [hull] *)
+  len : int array;  (* tree node -> hull size *)
+  hull : int array;  (* every node's hull, as point indices, left to right *)
+  g_max : int;  (* largest [g] for which [g * T] cannot overflow *)
 }
 
 let infinite = max_int / 4
+
+(* Demand is compared in micro-units: [scale] per charge unit. *)
+let scale = 1_000_000
+
+(* Every product the hull tree forms stays within [lim] in magnitude, so
+   sums of two or three of them never wrap.  A load whose magnitudes
+   could break that, or a query whose slope could, takes the epoch
+   scan, which gives the same value by definition. *)
+let lim = max_int / 4
+
+let build_hulls cursor ~min_units_after =
+  let e_count = Loads.Cursor.epoch_count cursor in
+  let is_point e =
+    let sch = Loads.Cursor.schedule cursor e in
+    sch.cur > 0 && sch.draws > 0
+  in
+  let np = ref 0 in
+  for e = 0 to e_count - 1 do
+    if is_point e then incr np
+  done;
+  let np = !np in
+  let px = Array.make np 0 and py = Array.make np 0 and pe = Array.make np 0 in
+  let first = Array.make (e_count + 1) np in
+  let i = ref 0 in
+  for e = 0 to e_count - 1 do
+    first.(e) <- !i;
+    if is_point e then begin
+      let sch = Loads.Cursor.schedule cursor e in
+      px.(!i) <- Loads.Cursor.epoch_start cursor e + (sch.draws * sch.ct);
+      py.(!i) <- -min_units_after.(e + 1);
+      pe.(!i) <- e;
+      incr i
+    end
+  done;
+  (* |dT| <= steps and |dA/scale| <= units bound every hull coordinate
+     difference; a cross product is two such products *)
+  let steps = max 1 (Loads.Cursor.total_steps cursor)
+  and units = min_units_after.(0) in
+  if np = 0 || units > lim / scale || (units > 0 && steps > lim / 2 / units)
+  then None
+  else begin
+    let rec levels n = if n <= 1 then 1 else 1 + levels ((n + 1) / 2) in
+    let hull = Array.make (np * levels np) 0 in
+    let off = Array.make (4 * np) 0 and len = Array.make (4 * np) 0 in
+    let w = ref 0 in
+    let cross o a p =
+      ((px.(a) - px.(o)) * (py.(p) - py.(o)))
+      - ((py.(a) - py.(o)) * (px.(p) - px.(o)))
+    in
+    (* Append [p] to the upper hull growing from [base]: pop while the
+       last two points and [p] do not turn clockwise. *)
+    let push base p =
+      while !w - base >= 2 && cross hull.(!w - 2) hull.(!w - 1) p >= 0 do
+        decr w
+      done;
+      hull.(!w) <- p;
+      incr w
+    in
+    (* A node's hull is the hull of its children's hulls, which come
+       left to right in T order: one monotone-chain pass. *)
+    let rec build k lo hi =
+      if hi - lo = 1 then begin
+        off.(k) <- !w;
+        push !w lo
+      end
+      else begin
+        let mid = (lo + hi) / 2 in
+        build (2 * k) lo mid;
+        build ((2 * k) + 1) mid hi;
+        let base = !w in
+        off.(k) <- base;
+        for c = 2 * k to (2 * k) + 1 do
+          for j = off.(c) to off.(c) + len.(c) - 1 do
+            push base hull.(j)
+          done
+        done
+      end;
+      len.(k) <- !w - off.(k)
+    in
+    build 1 0 np;
+    Some { px; py; pe; first; off; len; hull; g_max = lim / steps }
+  end
 
 let create ?(switch_delay = 1) ?(allow_final_draw_skip = false) disc cursor =
   let e_count = Loads.Cursor.epoch_count cursor in
@@ -29,7 +136,7 @@ let create ?(switch_delay = 1) ?(allow_final_draw_skip = false) disc cursor =
     max_cur_after.(e) <- max max_cur_after.(e + 1) sch.cur
   done;
   { disc; cursor; switch_delay; skip01; min_units_after; draws_after;
-    max_cur_after }
+    max_cur_after; hulls = build_hulls cursor ~min_units_after }
 
 (* Least [e] in [lo, hi] with [above e] (monotone: false then true);
    callers guarantee [above hi]. *)
@@ -81,6 +188,35 @@ let charge_ub t ~y ~local bank alive cmax =
     crossing_step t e ~local:0 ~over:(u - (base - t.min_units_after.(e))) - 1
   end
 
+(* The maximum of [scale * py - g * px] over node [k]'s points: on its
+   hull, at the first edge whose slope is at most [g / scale] (hull
+   slopes fall from left to right), or at the last point. *)
+let node_max h ~g k =
+  let o = h.off.(k) in
+  let lo = ref 0 and hi = ref (h.len.(k) - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let a = h.hull.(o + mid) and b = h.hull.(o + mid + 1) in
+    if scale * (h.py.(b) - h.py.(a)) <= g * (h.px.(b) - h.px.(a)) then hi := mid
+    else lo := mid + 1
+  done;
+  let p = h.hull.(o + !lo) in
+  (scale * h.py.(p)) - (g * h.px.(p))
+
+(* First point [>= from] of node [k] (covering points [lo, hi)) with
+   [scale * py - g * px > c], or [-1].  Nodes wholly at or after [from]
+   are skipped on their hull maximum; at most O(log) nodes straddle
+   [from], and the first node that passes is descended into. *)
+let rec first_above h ~g ~c ~from k lo hi =
+  if hi <= from then -1
+  else if lo >= from && node_max h ~g k <= c then -1
+  else if hi - lo = 1 then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    let r = first_above h ~g ~c ~from (2 * k) lo mid in
+    if r >= 0 then r else first_above h ~g ~c ~from ((2 * k) + 1) mid hi
+  end
+
 (* Constraint 2: available charge against the recovery-rate ceiling.
    Serving [D] units costs exactly [1000*D] milli-units of available
    charge; recovery refunds [1000 - c] per event, and an alive battery
@@ -91,8 +227,43 @@ let charge_ub t ~y ~local bank alive cmax =
    step where the minimum cumulative demand outruns available charge
    plus maximal recovery gain (plus the per-death slacks) is therefore
    unreachable alive.  All arithmetic is in micro-units (milli * 1000)
-   so the per-step gain ceiling can be rounded up, not down. *)
-let avail_ub t ~y ~local bank alive cmax =
+   so the per-step gain ceiling can be rounded up, not down.
+
+   [epoch_cross] checks one epoch [e], restarted at [local], with
+   [served] units of minimum demand before it: within a serving epoch
+   demand rises linearly per draw while the gain ceiling rises linearly
+   per step, so a violated epoch pins the crossing draw by a division.
+   Returns the crossing step, or [infinite] when the epoch does not
+   cross. *)
+let epoch_cross t ~gnum ~supply ~now e ~local ~served =
+  let sch = Loads.Cursor.schedule_from t.cursor e ~local in
+  let es = Loads.Cursor.epoch_start t.cursor e in
+  if sch.cur = 0 then infinite
+  else begin
+    let min_draws = max 0 (sch.draws - t.skip01) in
+    let t_end = es + local + (sch.draws * sch.ct) in
+    let demand_end = scale * (served + (min_draws * sch.cur)) in
+    if demand_end <= supply + (gnum * (t_end - now)) then infinite
+    else begin
+      (* least k >= 1 with
+         10^6*(served + (k - skip01)*cur) > supply + gnum*(es+local+k*ct - now) *)
+      let coeff = (scale * sch.cur) - (gnum * sch.ct) in
+      (* demand_end > RHS(t_end) and no crossing at entry force a
+         positive within-epoch slope *)
+      if coeff <= 0 then infinite
+      else begin
+        let rhs =
+          supply
+          + (gnum * (es + local - now))
+          - (scale * (served - (t.skip01 * sch.cur)))
+        in
+        let k = max 1 ((rhs / coeff) + 1) in
+        if k <= sch.draws then es + local + (k * sch.ct) - 1 else infinite
+      end
+    end
+  end
+
+let avail_ub_of t ~y ~local bank alive cmax =
   let disc = t.disc in
   let c = disc.Dkibam.Discretization.c_milli in
   let n_units = disc.Dkibam.Discretization.n_units in
@@ -121,53 +292,61 @@ let avail_ub t ~y ~local bank alive cmax =
   let supply =
     List.fold_left
       (fun acc i ->
-        acc + (1000 * Dkibam.Battery.available_milli_units disc (Bank.battery bank i)))
+        acc
+        + (1000
+          * Dkibam.Battery.available_milli_units disc (Bank.battery bank i)))
       0 alive
     + (1000 * a * (t.switch_delay + 3) * cmax * 1000)
     + (1000 * gcon)
   in
   let now = Loads.Cursor.epoch_start t.cursor y + local in
-  let e_count = Loads.Cursor.epoch_count t.cursor in
-  (* Scan epochs from [y]: [served] accumulates the minimum demand (in
-     units) up to the start of the epoch under scan; within a serving
-     epoch demand rises linearly per draw while the gain ceiling rises
-     linearly per step, so the first violated epoch pins the crossing
-     draw by a division. *)
-  let exception Cross of int in
-  let check_epoch e ~local ~served =
-    let sch = Loads.Cursor.schedule_from t.cursor e ~local in
-    let es = Loads.Cursor.epoch_start t.cursor e in
-    if sch.cur > 0 then begin
-      let min_draws = max 0 (sch.draws - t.skip01) in
-      let t_end = es + local + (sch.draws * sch.ct) in
-      let demand_end = 1_000_000 * (served + (min_draws * sch.cur)) in
-      if demand_end > supply + (gnum * (t_end - now)) then begin
-        (* crossing inside this epoch: least k >= 1 with
-           10^6*(served + (k - skip01)*cur) > supply + gnum*(es+local+k*ct - now) *)
-        let coeff = (1_000_000 * sch.cur) - (gnum * sch.ct) in
-        (* demand_end > RHS(t_end) and no crossing at entry force a
-           positive within-epoch slope *)
-        if coeff > 0 then begin
-          let rhs =
-            supply
-            + (gnum * (es + local - now))
-            - (1_000_000 * (served - (t.skip01 * sch.cur)))
-          in
-          let k = max 1 ((rhs / coeff) + 1) in
-          if k <= sch.draws then raise (Cross (es + local + (k * sch.ct) - 1))
-        end
-      end
-    end;
-    served + if sch.cur = 0 then 0 else max 0 (sch.draws - t.skip01) * sch.cur
+  let cross e ~local ~served =
+    epoch_cross t ~gnum ~supply ~now e ~local ~served
   in
-  match
-    let served = ref (check_epoch y ~local ~served:0) in
-    for e = y + 1 to e_count - 1 do
-      served := check_epoch e ~local:0 ~served:!served
-    done
-  with
-  | () -> infinite
-  | exception Cross s -> s
+  let s_y = cross y ~local ~served:0 in
+  if s_y < infinite then s_y
+  else begin
+    (* every later epoch [e] enters with [u0 - min_units_after e] units
+       of minimum demand served *)
+    let sch_y = Loads.Cursor.schedule_from t.cursor y ~local in
+    let units_y =
+      if sch_y.cur = 0 then 0 else max 0 (sch_y.draws - t.skip01) * sch_y.cur
+    in
+    let u0 = units_y + t.min_units_after.(y + 1) in
+    let cross_after e = cross e ~local:0 ~served:(u0 - t.min_units_after.(e)) in
+    match t.hulls with
+    | Some h when gnum <= h.g_max && supply <= lim && supply >= -lim ->
+        (* the epoch test [demand_end > supply + gnum*(T_e - now)],
+           rearranged as [A_e - gnum*T_e > c] *)
+        let c = supply - (gnum * now) - (scale * u0) in
+        let np = Array.length h.px in
+        (* the division decides; should it not cross at the point
+           found, the search resumes after it, as the scan would *)
+        let rec from i =
+          let j = first_above h ~g:gnum ~c ~from:i 1 0 np in
+          if j < 0 then infinite
+          else
+            let s = cross_after h.pe.(j) in
+            if s < infinite then s else from (j + 1)
+        in
+        from h.first.(y + 1)
+    | _ ->
+        let e_count = Loads.Cursor.epoch_count t.cursor in
+        let rec scan e =
+          if e >= e_count then infinite
+          else
+            let s = cross_after e in
+            if s < infinite then s else scan (e + 1)
+        in
+        scan (y + 1)
+  end
+
+let avail_ub t ~y ~local bank =
+  let alive = Bank.alive bank in
+  if alive = [] then 0
+  else
+    let cmax = t.max_cur_after.(y) in
+    if cmax = 0 then infinite else avail_ub_of t ~y ~local bank alive cmax
 
 let lifetime_ub t ~y ~local bank =
   let alive = Bank.alive bank in
@@ -178,7 +357,7 @@ let lifetime_ub t ~y ~local bank =
     else
       min
         (charge_ub t ~y ~local bank alive cmax)
-        (avail_ub t ~y ~local bank alive cmax)
+        (avail_ub_of t ~y ~local bank alive cmax)
 
 let lifetime_lb t ~y ~local bank =
   let cmax = t.max_cur_after.(y) in

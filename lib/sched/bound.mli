@@ -39,10 +39,17 @@
     off because only subtrees the bound proves dominated are cut. *)
 
 type t
-(** Precomputed suffix views of one load (minimum/maximum residual
-    demand, residual draw counts, maximum residual draw current), built
-    once per search.  O(number of epochs) to build, O(log epochs) per
-    query. *)
+(** Precomputed views of one load, built once per search: suffix arrays
+    (minimum residual demand, residual draw counts, maximum residual
+    draw current) and the availability bound's hull tree.  Building
+    costs O(E log E) time and O(E log E) words for a load of [E]
+    epochs.  A query costs O(batteries + log^2 E): {!lifetime_lb} and
+    {!stranded_lb} bisect or index the suffix arrays in O(log E), and
+    {!lifetime_ub}'s availability constraint ({!avail_ub}) descends the
+    hull tree.  A load whose step and unit totals could overflow the
+    tree's integer products, or a query whose gain slope could, falls
+    back to scanning the remaining epochs — O(E), with the same
+    value. *)
 
 val create :
   ?switch_delay:int ->
@@ -63,6 +70,22 @@ val infinite : int
 val lifetime_ub : t -> y:int -> local:int -> Bank.t -> int
 (** Latest step any continuation from this position can die at, or
     {!infinite} when some continuation might outlive the load. *)
+
+val avail_ub : t -> y:int -> local:int -> Bank.t -> int
+(** The availability constraint of {!lifetime_ub} alone: one step before
+    the first draw at which the minimum cumulative demand outruns the
+    alive batteries' available charge plus their maximal recovery gain
+    (and the per-death slacks), or {!infinite}.  {!lifetime_ub} is the
+    minimum of this and the total-charge constraint.
+
+    For the epochs after [y] the test "demand at epoch [e]'s last draw
+    outruns supply" reads [A_e - g*T_e > C], with the load's points
+    [(T_e, A_e)] fixed and the slope [g] and constant [C] set by the
+    bank; a segment tree of upper convex hulls over the points finds
+    the first epoch above that line in O(log^2 E), in exact integer
+    arithmetic, and the epoch's own division then pins the crossing
+    draw.  The value is exactly that of scanning every remaining epoch
+    in order. *)
 
 val lifetime_lb : t -> y:int -> local:int -> Bank.t -> int
 (** Earliest step any continuation from this position can die at, or

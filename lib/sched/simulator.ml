@@ -33,8 +33,9 @@ let simulate ?initial ?trace_every ?(switch_delay = 1) ~n_batteries ~policy
           { s_step = step; s_batteries = Bank.snapshot bank; s_serving = serving }
           :: !samples
   in
-  (* The running absolute step; every recovery span goes through [tick],
-     which chops it into chunks so trace samples land on the grid. *)
+  (* The running absolute step.  Recovery outside a span goes through
+     [tick], which chops it into chunks so trace samples land on the
+     grid; a served span advances the clock by its elapsed steps. *)
   let clock = ref 0 in
   let tick serving k =
     (match trace_every with
@@ -70,6 +71,37 @@ let simulate ?initial ?trace_every ?(switch_delay = 1) ~n_batteries ~policy
     incr decision_no;
     chosen
   in
+  (* Battery [b] serves [sch].  Untraced, the bank serves the whole span
+     in one call.  Traced, the span is cut so that samples land on the
+     grid: each cadence interval recovers through [tick], and each draw
+     is a span of its own (no lead-in, one draw, no rest). *)
+  let serve_span b (sch : Loads.Cursor.schedule) =
+    match trace_every with
+    | None ->
+        let outcome = Bank.serve bank ~b sch in
+        (clock :=
+           !clock
+           +
+           match outcome with
+           | Bank.Completed -> (sch.draws * sch.ct) + sch.rest
+           | Bank.Died steps -> steps);
+        outcome
+    | Some _ ->
+        let one_draw = { sch with ct = 0; draws = 1; rest = 0 } in
+        let rec go i =
+          if i > sch.draws then begin
+            tick (Some b) sch.rest;
+            Bank.Completed
+          end
+          else begin
+            tick (Some b) sch.ct;
+            match Bank.serve bank ~b one_draw with
+            | Bank.Completed -> go (i + 1)
+            | Bank.Died _ -> Bank.Died (i * sch.ct)
+          end
+        in
+        go 1
+  in
   let job_index = ref 0 in
   (* Serve one job epoch starting at absolute [start]; raises System_dead
      when the last battery dies. *)
@@ -79,7 +111,7 @@ let simulate ?initial ?trace_every ?(switch_delay = 1) ~n_batteries ~policy
     let rec serve b local =
       let span_start = start + local in
       let sch = Loads.Cursor.schedule_from cursor y ~local in
-      match Bank.serve ~tick:(tick (Some b)) bank ~b sch with
+      match serve_span b sch with
       | Bank.Completed -> intervals := (span_start, start + len, b) :: !intervals
       | Bank.Died off ->
           let local' = local + off in

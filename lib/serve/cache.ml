@@ -1,7 +1,7 @@
 (* Result cache with crash-safe persistence and a size bound.
 
    On-disk format: a Guard.Checkpoint frame (magic
-   [batsched.serve.cache], fingerprint = format + grid version) whose
+   [batsched.serve.cache.v2], fingerprint = format + grid version) whose
    payload is one [key SP value] line per entry, sorted by key.  Keys
    are MD5 hexes (no spaces); values are single-line JSON (Obs.Json
    never emits newlines), so the line format is unambiguous.  Sorting
@@ -25,7 +25,10 @@ let c_misses = Obs.counter "serve.cache_misses"
 let c_evictions = Obs.counter "serve.cache_evictions"
 let g_entries = Obs.gauge "serve.cache_entries"
 
-let magic = "batsched.serve.cache"
+(* v2: spec loads are keyed on their exact parsed epochs, no longer on
+   a six-digit render; a v1 snapshot's keys may name the wrong load, so
+   it is refused rather than read. *)
+let magic = "batsched.serve.cache.v2"
 
 (* Bump when the payload format or the result schema changes: a
    fingerprint mismatch is a clean cold start, not a parse attempt. *)

@@ -116,7 +116,7 @@ let parse_load json =
       let* s = as_string ~field:"spec" j in
       match Loads.Spec.parse_result s with
       | Error e -> Error e
-      | Ok epochs -> Ok (Spec (epochs, Loads.Spec.to_string epochs)))
+      | Ok epochs -> Ok (Spec (epochs, s)))
   | None, None ->
       Error
         (err ~field:"load" ~accepted:"a test-load name or a \"spec\" field"
@@ -242,9 +242,14 @@ let parse_request line =
 (* Cache keys                                                       *)
 (* ---------------------------------------------------------------- *)
 
+(* A spec load is keyed on its parsed epochs, marshalled without
+   sharing: the encoding is exact (floats bit for bit) and depends only
+   on the epochs' structure, so two specs share a key exactly when they
+   parse to the same load. *)
 let load_canon = function
   | Named n -> "load:" ^ Loads.Testloads.to_string n
-  | Spec (_, canon) -> "spec:" ^ canon
+  | Spec (epochs, _) ->
+      "spec:" ^ Marshal.to_string epochs [ Marshal.No_sharing ]
 
 let target_canon t =
   Printf.sprintf "%s|%s|%d" (load_canon t.load) (battery_label t.battery)
@@ -272,14 +277,21 @@ let cache_key r =
   in
   Option.map (fun c -> Digest.to_hex (Digest.string c)) canon
 
+let max_search_positions = 500_000
+
 let budget_of_request r =
-  match (r.deadline_ms, r.max_segments) with
-  | None, None -> None
-  | d, s ->
+  let max_positions =
+    match r.query with
+    | Schedule _ | Compare _ -> Some max_search_positions
+    | Montecarlo _ | Ensemble _ | Stats -> None
+  in
+  match (r.deadline_ms, r.max_segments, max_positions) with
+  | None, None, None -> None
+  | d, s, p ->
       Some
         (Guard.Budget.create
            ?deadline_s:(Option.map (fun ms -> float_of_int ms /. 1000.0) d)
-           ?max_segments:s ())
+           ?max_segments:s ?max_positions:p ())
 
 (* ---------------------------------------------------------------- *)
 (* Response rendering                                               *)

@@ -29,9 +29,9 @@ val battery_label : battery -> string
 type load_ref =
   | Named of Loads.Testloads.name  (** a paper test load at its default horizon *)
   | Spec of Loads.Epoch.t * string
-      (** a spec-language load; the string is the {e canonical} render
-          ({!Loads.Spec.to_string} of the parsed epochs), which is what
-          cache keys hash *)
+      (** a spec-language load: the parsed epochs, which cache keys
+          encode exactly, and the client's spec text, which error
+          messages quote *)
 
 type target = { load : load_ref; battery : battery; n_batteries : int }
 
@@ -70,13 +70,24 @@ val parse_request : string -> (request, Obs.Json.t * Guard.Error.t) result
 
 val cache_key : request -> string option
 (** Canonical cache key (an MD5 hex of the query's canonical form), or
-    [None] for queries that must not be cached ([Stats]).  Budget
-    fields are excluded: a cached entry is always the {e exact} answer,
-    so it may serve a budgeted request too. *)
+    [None] for queries that must not be cached ([Stats]).  A spec load
+    enters the key as its parsed epochs, marshalled exactly, so two
+    specs share a key only when they are the same load.  Budget fields
+    are excluded: a cached entry is always the {e exact} answer, so it
+    may serve a budgeted request too. *)
+
+val max_search_positions : int
+(** The positions cap of every [schedule] and [compare] request's exact
+    search: 500,000 explored positions, about 3.6 times the largest
+    Table 5 search (ILl 250 on 2xB1, 136,932 positions in about 17 MB
+    of heap).  A search that reaches it answers with its anytime
+    result, tagged [degraded] with reason ["positions"]. *)
 
 val budget_of_request : request -> Guard.Budget.t option
-(** A fresh budget per request from [deadline_ms] / [max_segments];
-    [None] when the request carries neither. *)
+(** A fresh budget per request from [deadline_ms] / [max_segments],
+    plus {!max_search_positions} for [schedule] and [compare];
+    [None] for a [montecarlo] or [ensemble] request that carries
+    neither field, and for [stats]. *)
 
 val ok_response : id:Obs.Json.t -> ?degraded:string -> string -> string
 (** [ok_response ~id result_json]: the success line (no trailing

@@ -263,9 +263,9 @@ let disc_of ctx = function Protocol.B1 -> ctx.disc_b1 | Protocol.B2 -> ctx.disc_
 let arrays_of_load (load : Protocol.load_ref) =
   match load with
   | Protocol.Named n -> Batsched.Experiments.arrays_of n
-  | Protocol.Spec (epochs, canon) -> (
+  | Protocol.Spec (epochs, text) -> (
       match
-        Loads.Arrays.make_result ~input:canon
+        Loads.Arrays.make_result ~input:text
           ~time_step:Batsched.Experiments.time_step
           ~charge_unit:Batsched.Experiments.charge_unit epochs
       with
@@ -279,11 +279,19 @@ let arrays_of_load (load : Protocol.load_ref) =
    pair share warmth across connections, domains and Horizon re-plans;
    requests for different pairs are disjoint by construction. *)
 let plan_scope ctx (t : Protocol.target) =
+  (* a spec load by its epochs alone, as in the cache key *)
+  let load =
+    match t.Protocol.load with
+    | Protocol.Spec (epochs, _) -> Protocol.Spec (epochs, "")
+    | named -> named
+  in
   Memo.scope ctx.memo
     ~fingerprint:
       (Digest.to_hex
          (Digest.string
-            (Marshal.to_string ("plan", t.Protocol.load, t.Protocol.battery) [])))
+            (Marshal.to_string
+               ("plan", load, t.Protocol.battery)
+               [ Marshal.No_sharing ])))
 
 (* First trip of a request: name it for the response, count deadline
    trips separately (the headline robustness metric). *)

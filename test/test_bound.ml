@@ -183,34 +183,43 @@ let recording_policy inner recorded =
         :: !recorded;
       Sched.Policy.decide inner ~state ctx)
 
-let check_admissible ~what disc a policy =
+(* A simulated run and its decision points as search positions
+   [(y, step, local, bank)], in the order the run met them. *)
+let decision_points disc a ~n_batteries policy =
   let cursor = Loads.Cursor.make a in
-  let bound = Sched.Bound.create disc cursor in
   let recorded = ref [] in
   let o =
-    Sched.Simulator.simulate ~n_batteries:2
+    Sched.Simulator.simulate ~n_batteries
       ~policy:(recording_policy policy recorded)
       disc a
   in
+  ( o,
+    List.rev_map
+      (fun (y, step, mid_job, batteries, alive) ->
+        let delay = if mid_job then 1 else 0 in
+        ( y,
+          step,
+          step - Loads.Cursor.epoch_start cursor y + delay,
+          Sched.Bank.of_parts disc
+            ~batteries:
+              (Array.map (Dkibam.Battery.tick_many disc delay) batteries)
+            ~dead:
+              (Array.init (Array.length batteries) (fun i ->
+                   not (List.mem i alive))) ))
+      !recorded )
+
+let check_admissible ~what disc a policy =
+  let bound = Sched.Bound.create disc (Loads.Cursor.make a) in
+  let o, points = decision_points disc a ~n_batteries:2 policy in
   let life =
     match o.lifetime_steps with
     | Some s -> s
     | None -> Alcotest.failf "%s: run outlived the load" what
   in
   let stranded = Sched.Bank.stranded_units o.final in
-  if !recorded = [] then Alcotest.failf "%s: no decisions recorded" what;
+  if points = [] then Alcotest.failf "%s: no decisions recorded" what;
   List.iter
-    (fun (y, step, mid_job, batteries, alive) ->
-      let delay = if mid_job then 1 else 0 in
-      let local = step - Loads.Cursor.epoch_start cursor y + delay in
-      let bank =
-        Sched.Bank.of_parts disc
-          ~batteries:
-            (Array.map (Dkibam.Battery.tick_many disc delay) batteries)
-          ~dead:
-            (Array.init (Array.length batteries) (fun i ->
-                 not (List.mem i alive)))
-      in
+    (fun (y, step, local, bank) ->
       let ub = Sched.Bound.lifetime_ub bound ~y ~local bank in
       let lb = Sched.Bound.lifetime_lb bound ~y ~local bank in
       let slb = Sched.Bound.stranded_lb bound ~y ~local bank in
@@ -226,7 +235,7 @@ let check_admissible ~what disc a policy =
         Alcotest.failf
           "%s: stranded_lb %d > achieved stranded %d at (y=%d, step=%d)" what
           slb stranded y step)
-    !recorded
+    points
 
 let test_admissible_traces () =
   (* every decision point of a simulated run is a search position, and
@@ -270,6 +279,187 @@ let test_admissible_traces () =
             policies)
         loads)
     discs
+
+(* ------------------------------------------------------------------ *)
+(* Availability bound: hull tree = epoch scan                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Sched.Bound.avail_ub] as it stood before the hull tree: one pass
+   over every remaining epoch, [served] accumulated along the way.  The
+   hull query must return this value at every position. *)
+let scan_avail_ub (disc : Dkibam.Discretization.t) cursor ~switch_delay ~skip
+    ~y ~local bank =
+  let skip01 = if skip then 1 else 0 in
+  let e_count = Loads.Cursor.epoch_count cursor in
+  let cmax = ref 0 in
+  for e = y to e_count - 1 do
+    cmax := max !cmax (Loads.Cursor.schedule cursor e).cur
+  done;
+  let cmax = !cmax and alive = Sched.Bank.alive bank in
+  if alive = [] then 0
+  else if cmax = 0 then Sched.Bound.infinite
+  else begin
+    let c = disc.c_milli and n_units = disc.n_units in
+    let a = List.length alive in
+    let gnum, gcon =
+      List.fold_left
+        (fun (gnum, gcon) i ->
+          let b = Sched.Bank.battery bank i in
+          let m_cap = ((c * b.Dkibam.Battery.n_gamma) - 1) / (1000 - c) in
+          let m_ceil = min n_units (max m_cap b.Dkibam.Battery.m_delta + cmax) in
+          if m_ceil < 2 then (gnum, gcon)
+          else
+            let rt = Dkibam.Discretization.recov_time disc m_ceil in
+            (gnum + ((((1000 - c) * 1000) + rt - 1) / rt), gcon + (1000 - c)))
+        (0, 0) alive
+    in
+    let supply =
+      List.fold_left
+        (fun acc i ->
+          acc
+          + (1000
+            * Dkibam.Battery.available_milli_units disc (Sched.Bank.battery bank i)))
+        0 alive
+      + (1000 * a * (switch_delay + 3) * cmax * 1000)
+      + (1000 * gcon)
+    in
+    let now = Loads.Cursor.epoch_start cursor y + local in
+    let exception Cross of int in
+    let check_epoch e ~local ~served =
+      let sch = Loads.Cursor.schedule_from cursor e ~local in
+      let es = Loads.Cursor.epoch_start cursor e in
+      if sch.cur > 0 then begin
+        let min_draws = max 0 (sch.draws - skip01) in
+        let t_end = es + local + (sch.draws * sch.ct) in
+        let demand_end = 1_000_000 * (served + (min_draws * sch.cur)) in
+        if demand_end > supply + (gnum * (t_end - now)) then begin
+          let coeff = (1_000_000 * sch.cur) - (gnum * sch.ct) in
+          if coeff > 0 then begin
+            let rhs =
+              supply
+              + (gnum * (es + local - now))
+              - (1_000_000 * (served - (skip01 * sch.cur)))
+            in
+            let k = max 1 ((rhs / coeff) + 1) in
+            if k <= sch.draws then raise (Cross (es + local + (k * sch.ct) - 1))
+          end
+        end
+      end;
+      served + if sch.cur = 0 then 0 else max 0 (sch.draws - skip01) * sch.cur
+    in
+    match
+      let served = ref (check_epoch y ~local ~served:0) in
+      for e = y + 1 to e_count - 1 do
+        served := check_epoch e ~local:0 ~served:!served
+      done
+    with
+    | () -> Sched.Bound.infinite
+    | exception Cross s -> s
+  end
+
+(* A random position: any epoch, any offset into it, and a bank of one
+   to six batteries in arbitrary states, some of them dead. *)
+let random_position g (disc : Dkibam.Discretization.t) cursor =
+  let y = Prng.Splitmix.int g (Loads.Cursor.epoch_count cursor) in
+  let local = Prng.Splitmix.int g (Loads.Cursor.epoch_len cursor y) in
+  let size = 1 + Prng.Splitmix.int g 6 in
+  let big = disc.n_units in
+  let batteries =
+    Array.init size (fun _ ->
+        let n = Prng.Splitmix.int g (big + 1) in
+        let m = Prng.Splitmix.int g (big - n + 1) in
+        Dkibam.Battery.make disc ~n_gamma:n ~m_delta:m
+          ~recov_clock:(Prng.Splitmix.int g 200))
+  in
+  let dead = Array.init size (fun _ -> Prng.Splitmix.int g 4 = 0) in
+  (y, local, Sched.Bank.of_parts disc ~batteries ~dead)
+
+let test_avail_hull_equals_scan () =
+  let g = Prng.Splitmix.create (Int64.add chaos_seed 17L) in
+  let regime label disc n jobs seed currents idle =
+    ( label,
+      disc,
+      n,
+      enc
+        (Loads.Random_load.intermitted ~seed ~jobs ~currents ~idle_duration:idle
+           ()) )
+  in
+  let loads =
+    List.concat_map
+      (fun (dname, disc) ->
+        List.map
+          (fun name ->
+            (Loads.Testloads.to_string name ^ " " ^ dname, disc, 2, arrays name))
+          Loads.Testloads.all_names)
+      discs
+    @ [
+        (* the bound suite's four regimes *)
+        regime "marginal" disc_b1 3 40 2L [| 0.25; 0.5 |] 1.0;
+        regime "overdrive" disc_b2 2 60 1L [| 0.5 |] 0.5;
+        regime "mixed" disc_b2 2 40 1L [| 0.25; 0.5; 1.0 |] 1.0;
+        regime "overload" disc_b1 3 40 1L [| 0.5; 2.0 |] 1.0;
+        (* the longest spec load the parser accepts *)
+        ( "20,000 epochs",
+          disc_b1,
+          2,
+          enc (Loads.Spec.parse "repeat 10000 (job 0.25 0.5; idle 0.3)") );
+        (* 10^14 steps of idle: some queries' gain slopes would overflow
+           the hull's products and take the scan *)
+        ( "1e12-minute idle",
+          disc_b1,
+          2,
+          enc
+            (Loads.Spec.parse
+               "repeat 20 (job 0.5 1; idle 1); idle 1e12; repeat 60 (job 0.5 1; \
+                idle 1)") );
+        (* 10^17 steps: the whole load is past the hull's range *)
+        ( "1e15-minute idle",
+          disc_b2,
+          3,
+          enc
+            (Loads.Spec.parse
+               "repeat 20 (job 0.25 1; idle 1); idle 1e15; repeat 60 (job 0.5 \
+                1; idle 1)") );
+      ]
+  in
+  let compared = ref 0 and finite = ref 0 in
+  List.iter
+    (fun (label, disc, n_batteries, a) ->
+      let cursor = Loads.Cursor.make a in
+      let traced =
+        List.concat_map
+          (fun policy ->
+            List.map
+              (fun (y, _, local, bank) -> (y, local, bank))
+              (snd (decision_points disc a ~n_batteries policy)))
+          [ Sched.Policy.Best_of; Sched.Policy.Round_robin; Sched.Policy.Sequential ]
+      in
+      let randoms = List.init 150 (fun _ -> random_position g disc cursor) in
+      List.iter
+        (fun (skip, switch_delay) ->
+          let bound =
+            Sched.Bound.create ~switch_delay ~allow_final_draw_skip:skip disc cursor
+          in
+          List.iter
+            (fun (y, local, bank) ->
+              let hull = Sched.Bound.avail_ub bound ~y ~local bank in
+              let scan =
+                scan_avail_ub disc cursor ~switch_delay ~skip ~y ~local bank
+              in
+              incr compared;
+              if scan < Sched.Bound.infinite then incr finite;
+              if hull <> scan then
+                Alcotest.failf
+                  "%s (skip %b, delay %d) at y=%d local=%d: hull %d, scan %d \
+                   [seed %Ld]"
+                  label skip switch_delay y local hull scan chaos_seed)
+            (traced @ randoms))
+        [ (false, 1); (true, 1); (false, 0); (true, 3) ])
+    loads;
+  (* a good share of the comparisons must be of actual crossings, not
+     of two infinities *)
+  if 4 * !finite < !compared then
+    Alcotest.failf "only %d of %d comparisons were finite" !finite !compared
 
 (* ------------------------------------------------------------------ *)
 (* Property: monotonicity in charge                                    *)
@@ -378,6 +568,8 @@ let () =
         [
           Alcotest.test_case "admissible along traces" `Slow
             test_admissible_traces;
+          Alcotest.test_case "avail_ub hull = scan" `Quick
+            test_avail_hull_equals_scan;
           Alcotest.test_case "monotone in charge" `Quick
             test_monotone_in_charge;
           Alcotest.test_case "permutation symmetry" `Quick

@@ -190,6 +190,201 @@ let test_bank_serve_conservation () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Span kernel: one call per span equals the per-draw loop             *)
+(* ------------------------------------------------------------------ *)
+
+(* The dKiBaM recurrences and the per-draw serving loop as they stood
+   before the span kernel, on raw (n, m, clock) triples: every draw
+   ticks the whole bank [ct] steps, then the serving battery draws.
+   This is the reference [Sched.Bank.serve] must reproduce. *)
+let ref_tick (d : Dkibam.Discretization.t) (n, m, clock) steps =
+  let rec go k m clock =
+    if k = 0 then (m, clock)
+    else if m < 2 then (m, clock + k)
+    else
+      let due = max 1 (d.recov_time.(m) - clock) in
+      if due > k then (m, clock + k) else go (k - due) (m - 1) 0
+  in
+  let m, clock = go steps m clock in
+  (n, m, clock)
+
+let ref_draw (d : Dkibam.Discretization.t) (n, m, clock) cur =
+  let clock = if m <= 1 then 0 else clock in
+  let n = n - cur and m = m + cur in
+  if m >= 2 && clock >= d.recov_time.(m) then (n, m - 1, 0) else (n, m, clock)
+
+let ref_serve d cells dead ~b (sch : Loads.Cursor.schedule) =
+  let tick_all k = Array.iteri (fun i c -> cells.(i) <- ref_tick d c k) cells in
+  let rec go i =
+    if i > sch.draws then begin
+      if sch.rest > 0 then tick_all sch.rest;
+      Sched.Bank.Completed
+    end
+    else begin
+      tick_all sch.ct;
+      let ((n, _, _) as c) = cells.(b) in
+      let fatal =
+        n < sch.cur
+        ||
+        let ((n', m', _) as c') = ref_draw d c sch.cur in
+        cells.(b) <- c';
+        Dkibam.Discretization.is_empty d ~n:n' ~m:m'
+      in
+      if fatal then begin
+        dead.(b) <- true;
+        Sched.Bank.Died (i * sch.ct)
+      end
+      else go (i + 1)
+    end
+  in
+  go 1
+
+let discs = [ ("B1", Dkibam.Discretization.paper_b1); ("B2", Dkibam.Discretization.paper_b2) ]
+
+(* A random battery state: [m <= N - n] keeps every draw inside the
+   recovery table; the clock is sometimes past the recovery due at [m]
+   (a hand-built overdue state), and [m < 2] comes up often. *)
+let random_state g (d : Dkibam.Discretization.t) =
+  let big = d.n_units in
+  let n =
+    match Prng.Splitmix.int g 4 with
+    | 0 -> Prng.Splitmix.int g 12
+    | 1 -> big
+    | _ -> Prng.Splitmix.int g (big + 1)
+  in
+  let m =
+    match Prng.Splitmix.int g 4 with
+    | 0 -> Prng.Splitmix.int g 2
+    | _ -> Prng.Splitmix.int g (big - n + 1)
+  in
+  let due = if m >= 2 then d.recov_time.(m) else 40 in
+  let clock =
+    match Prng.Splitmix.int g 3 with
+    | 0 -> due + Prng.Splitmix.int g 30
+    | _ -> Prng.Splitmix.int g (due + 1)
+  in
+  (n, m, clock)
+
+let random_schedule g : Loads.Cursor.schedule =
+  let pick_zero k = if Prng.Splitmix.int g 5 = 0 then 0 else k in
+  {
+    ct = 1 + Prng.Splitmix.int g 60;
+    cur = 1 + Prng.Splitmix.int g 12;
+    draws = pick_zero (Prng.Splitmix.int g 45);
+    rest = pick_zero (Prng.Splitmix.int g 60);
+  }
+
+let test_span_matches_per_draw () =
+  let g = gen 6L in
+  let fatal_short = ref 0 and fatal_empty = ref 0 and completed = ref 0 in
+  List.iter
+    (fun (dname, d) ->
+      for round = 1 to 1500 do
+        let size = 1 + Prng.Splitmix.int g 6 in
+        let cells = Array.init size (fun _ -> random_state g d) in
+        let b = Prng.Splitmix.int g size in
+        let dead = Array.init size (fun i -> i <> b && Prng.Splitmix.int g 3 = 0) in
+        let sch = random_schedule g in
+        let bank =
+          Sched.Bank.of_parts d
+            ~batteries:
+              (Array.map
+                 (fun (n, m, clock) ->
+                   Dkibam.Battery.make d ~n_gamma:n ~m_delta:m ~recov_clock:clock)
+                 cells)
+            ~dead
+        in
+        let ref_cells = Array.copy cells and ref_dead = Array.copy dead in
+        let expected = ref_serve d ref_cells ref_dead ~b sch in
+        let got = Sched.Bank.serve bank ~b sch in
+        let label =
+          Printf.sprintf "%s round %d (%d batteries, b=%d, ct=%d cur=%d draws=%d rest=%d)"
+            dname round size b sch.ct sch.cur sch.draws sch.rest
+        in
+        if got <> expected then failf "%s: outcome differs from the per-draw loop" label;
+        (match expected with
+        | Sched.Bank.Completed -> incr completed
+        | Sched.Bank.Died _ ->
+            let n, _, _ = ref_cells.(b) in
+            if n < sch.cur then incr fatal_short else incr fatal_empty);
+        Array.iteri
+          (fun i (n, m, clock) ->
+            let bat = Sched.Bank.battery bank i in
+            if
+              bat.Dkibam.Battery.n_gamma <> n
+              || bat.Dkibam.Battery.m_delta <> m
+              || bat.Dkibam.Battery.recov_clock <> clock
+            then
+              failf "%s: battery %d is (%d, %d, %d), per-draw loop (%d, %d, %d)" label i
+                bat.n_gamma bat.m_delta bat.recov_clock n m clock;
+            if Sched.Bank.is_dead bank i <> ref_dead.(i) then
+              failf "%s: battery %d dead flag differs" label i)
+          ref_cells
+      done)
+    discs;
+  (* the generator must reach every ending: completion, the lacking-units
+     fatal draw and the eq. (8) fatal draw *)
+  if !completed = 0 || !fatal_short = 0 || !fatal_empty = 0 then
+    failf "span cases not all reached (completed %d, short %d, empty %d)"
+      !completed !fatal_short !fatal_empty
+
+let test_tick_composes () =
+  let g = gen 7L in
+  List.iter
+    (fun (dname, d) ->
+      for round = 1 to 3000 do
+        let n, m, clock = random_state g d in
+        let a = Prng.Splitmix.int g 400 and b = Prng.Splitmix.int g 400 in
+        let split = { Dkibam.Kernel.n; m; clock } in
+        Dkibam.Kernel.tick d split a;
+        Dkibam.Kernel.tick d split b;
+        let whole = { Dkibam.Kernel.n; m; clock } in
+        Dkibam.Kernel.tick d whole (a + b);
+        let _, rm, rclock = ref_tick d (n, m, clock) (a + b) in
+        if split <> whole || whole.m <> rm || whole.clock <> rclock then
+          failf
+            "%s round %d: from (m=%d, clock=%d), tick %d; tick %d gives (%d, %d), \
+             tick %d gives (%d, %d), reference (%d, %d)"
+            dname round m clock a b split.m split.clock (a + b) whole.m whole.clock
+            rm rclock
+      done)
+    discs
+
+let test_trace_same_run () =
+  let g = gen 8L in
+  let policies =
+    [| Sched.Policy.Best_of; Sched.Policy.Round_robin; Sched.Policy.Sequential |]
+  in
+  List.iter
+    (fun (dname, d) ->
+      for round = 1 to 40 do
+        let a = arrays (random_load g ~jobs:(10 + Prng.Splitmix.int g 40)) in
+        let n_batteries = 1 + Prng.Splitmix.int g 4 in
+        let policy = policies.(Prng.Splitmix.int g (Array.length policies)) in
+        let every = 1 + Prng.Splitmix.int g 300 in
+        let run trace_every =
+          Sched.Simulator.simulate ?trace_every ~n_batteries ~policy d a
+        in
+        let plain = run None and traced = run (Some every) in
+        let label =
+          Printf.sprintf "%s round %d (%d batteries, %s, every %d)" dname round
+            n_batteries (Sched.Policy.name policy) every
+        in
+        let open Sched.Simulator in
+        if plain.lifetime_steps <> traced.lifetime_steps then
+          failf "%s: traced lifetime differs" label;
+        if plain.decisions <> traced.decisions then
+          failf "%s: traced decisions differ" label;
+        if plain.deaths <> traced.deaths then failf "%s: traced deaths differ" label;
+        if plain.serving_intervals <> traced.serving_intervals then
+          failf "%s: traced serving intervals differ" label;
+        if not (Array.for_all2 Dkibam.Battery.equal plain.final traced.final) then
+          failf "%s: traced final batteries differ" label;
+        if traced.samples = [] then failf "%s: no samples" label
+      done)
+    discs
+
+(* ------------------------------------------------------------------ *)
 (* Simulator: death is monotone in the load                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -256,6 +451,14 @@ let () =
           Alcotest.test_case "draw conservation + wells" `Quick
             test_bank_draw_conservation;
           Alcotest.test_case "serve conservation" `Quick test_bank_serve_conservation;
+        ] );
+      ( "span kernel",
+        [
+          Alcotest.test_case "span = per-draw loop" `Quick
+            test_span_matches_per_draw;
+          Alcotest.test_case "tick composes" `Quick test_tick_composes;
+          Alcotest.test_case "traced run = untraced run" `Quick
+            test_trace_same_run;
         ] );
       ( "monotonicity",
         [

@@ -227,6 +227,102 @@ let test_deadline_anytime () =
         (String.length s >= 7 && String.sub s 0 7 = "anytime")
   | _ -> Alcotest.fail "budgeted result lacks status"
 
+(* --- exact spec keys and the default search cap ----------------------- *)
+
+let result_int name j =
+  match member_exn "result" j |> Obs.Json.member name with
+  | Some (Obs.Json.Int n) -> n
+  | _ -> Alcotest.failf "result lacks %S: %s" name (Obs.Json.to_string j)
+
+(* Two specs that differ only past the sixth significant digit of one
+   idle: a six-digit render of the load would give them one cache key,
+   and the second would be answered with the first's lifetime.  Each
+   answer must be the optimum an independent search finds for its own
+   spec — the same search the CLI's [compare --spec] runs. *)
+let near_twins =
+  [
+    "job 0.5 1; idle 12345.61; repeat 300 (job 0.5 1; idle 0.5)";
+    "job 0.5 1; idle 12345.64; repeat 300 (job 0.5 1; idle 0.5)";
+  ]
+
+let cli_optimum spec =
+  let arrays =
+    Loads.Arrays.make ~time_step:0.01 ~charge_unit:0.01 (Loads.Spec.parse spec)
+  in
+  (Sched.Optimal.search ~n_batteries:2 Dkibam.Discretization.paper_b1 arrays)
+    .lifetime_steps
+
+let test_spec_keys_exact () =
+  let frame op spec =
+    Printf.sprintf {|{"op":"%s","spec":%s,"n":2}|} op
+      (Obs.Json.to_string (Obs.Json.String spec))
+  in
+  let keys =
+    List.map
+      (fun spec ->
+        match Serve.Protocol.parse_request (frame "schedule" spec) with
+        | Ok req -> Serve.Protocol.cache_key req
+        | Error (_, e) -> Alcotest.failf "refused: %s" (Guard.Error.to_string e))
+      near_twins
+  in
+  Alcotest.(check bool)
+    "near-twin specs get different keys" true
+    (List.nth keys 0 <> List.nth keys 1);
+  let path, r = start () in
+  Fun.protect ~finally:(fun () -> finish r) @@ fun () ->
+  let c = connect path in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let optima = List.map cli_optimum near_twins in
+  Alcotest.(check bool)
+    "the twins have different optima" true
+    (List.nth optima 0 <> List.nth optima 1);
+  List.iter2
+    (fun spec optimum ->
+      let j = json_of (request_exn c (frame "schedule" spec)) in
+      Alcotest.(check bool) "schedule ok" true (is_ok j && not (is_degraded j));
+      Alcotest.(check int)
+        ("schedule lifetime_steps of " ^ spec)
+        optimum
+        (result_int "lifetime_steps" j);
+      let j = json_of (request_exn c (frame "compare" spec)) in
+      match member_exn "result" j |> Obs.Json.member "optimal_min" with
+      | Some (Obs.Json.Float m) ->
+          Alcotest.(check (float 1e-9))
+            ("compare optimal_min of " ^ spec)
+            (float_of_int optimum *. 0.01)
+            m
+      | _ -> Alcotest.failf "compare lacks optimal_min: %s" (Obs.Json.to_string j))
+    near_twins optima
+
+(* A sub-kilobyte frame whose exact search has no useful end: 30 random
+   250/500 mA jobs on three B1 cells.  Without a cap it held gigabytes
+   of memo after minutes; under the daemon's positions cap it comes
+   back as a labelled anytime answer, and the daemon keeps serving. *)
+let test_hostile_search_capped () =
+  let spec =
+    Loads.Spec.to_string (Loads.Random_load.intermitted ~seed:10L ~jobs:30 ())
+  in
+  let path, r = start () in
+  Fun.protect ~finally:(fun () -> finish r) @@ fun () ->
+  let c = connect path in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let j =
+    json_of
+      (request_exn c
+         (Printf.sprintf {|{"id":1,"op":"schedule","spec":%s,"n":3}|}
+            (Obs.Json.to_string (Obs.Json.String spec))))
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "answered ok" true (is_ok j);
+  Alcotest.(check bool) "tagged degraded" true (is_degraded j);
+  (match member_exn "degraded_reason" j with
+  | Obs.Json.String "positions" -> ()
+  | v -> Alcotest.failf "unexpected reason %s" (Obs.Json.to_string v));
+  if took > 60.0 then Alcotest.failf "capped search took %.1f s" took;
+  let stats = json_of (request_exn c {|{"id":2,"op":"stats"}|}) in
+  Alcotest.(check bool) "stats answered after it" true (is_ok stats)
+
 (* --- admission control: shed + overload degradation ------------------- *)
 
 let test_overload_shed_and_degrade () =
@@ -626,6 +722,10 @@ let () =
           Alcotest.test_case "draining shutdown" `Quick test_drain_shutdown;
           Alcotest.test_case "warm restart bit-identical" `Quick
             test_cache_warm_restart_identical;
+          Alcotest.test_case "exact keys for near-twin specs" `Quick
+            test_spec_keys_exact;
+          Alcotest.test_case "hostile search capped" `Quick
+            test_hostile_search_capped;
         ] );
       ( "concurrency",
         [
