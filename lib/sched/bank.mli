@@ -1,13 +1,25 @@
 (** A bank of dKiBaM batteries — the stateful half of the discharge
     kernel.
 
-    Encapsulates the [batteries]/[dead] array pair that the simulator,
+    Encapsulates the battery states and death flags that the simulator,
     the optimal search and the analysis layer all used to maintain by
     hand: concurrent recovery ([tick_all]), the fatal-draw observation
     rule of paper eq. (8) ([draw_from]), death bookkeeping, and the
     canonical serving loop over a {!Loads.Cursor.schedule} ([serve]).
     Banks are mutable; the optimal search snapshots them with {!copy}
-    at every branch point. *)
+    at every branch point.
+
+    {b Layout.}  A bank is one flat [int array] of four ints per
+    battery — battery [i] at [4 * i]: [n_gamma], [m_delta],
+    [recov_clock], and [1] if dead else [0] — plus one scratch
+    {!Dkibam.Kernel.cell} on which every transition runs, so the
+    dKiBaM recurrences stay in {!Dkibam.Kernel} alone.  That block is
+    also the memo key's block ({!key}), so the key and the bank cannot
+    drift apart.  {!copy} is one array copy and a fresh scratch cell;
+    {!serve} and {!tick_all} build no {!Dkibam.Battery.t}; hot readers
+    ({!Bound}, the key) read ints through {!n_gamma}, {!m_delta},
+    {!recov_clock} and {!is_dead}.  {!battery}, {!snapshot} and
+    {!alive} box on demand, for the simulator and the tests. *)
 
 type t
 
@@ -28,9 +40,22 @@ val of_parts :
     lengths must agree. *)
 
 val copy : t -> t
+(** An independent bank: no state is shared with the source. *)
+
 val disc : t -> Dkibam.Discretization.t
 val size : t -> int
+
+val n_gamma : t -> int -> int
+(** Battery [i]'s remaining charge units. *)
+
+val m_delta : t -> int -> int
+(** Battery [i]'s height-difference units. *)
+
+val recov_clock : t -> int -> int
+(** Battery [i]'s recovery clock. *)
+
 val battery : t -> int -> Dkibam.Battery.t
+(** Battery [i]'s state, boxed. *)
 
 val snapshot : t -> Dkibam.Battery.t array
 (** A fresh copy of the battery states, by id. *)
@@ -58,6 +83,15 @@ val stranded : t -> int
 
 val stranded_units : Dkibam.Battery.t array -> int
 (** Same, over a bare battery array (e.g. a simulator outcome). *)
+
+val key : t -> head:int -> int array
+(** [key t ~head]: a fresh array of [head] zeros (for the caller's
+    position fields) followed by the bank's four-int blocks sorted
+    ascending — the canonical form of the battery multiset that the
+    optimal search memoizes on.  The order is lexicographic over
+    [(n_gamma, m_delta, recov_clock, dead)], the order polymorphic
+    [compare] gives those tuples, so the bytes match keys built by
+    sorting tuples.  Allocates the result only. *)
 
 (** {2 The serving loop} *)
 

@@ -138,18 +138,30 @@ let create ?(switch_delay = 1) ?(allow_final_draw_skip = false) disc cursor =
   { disc; cursor; switch_delay; skip01; min_units_after; draws_after;
     max_cur_after; hulls = build_hulls cursor ~min_units_after }
 
-(* Least [e] in [lo, hi] with [above e] (monotone: false then true);
-   callers guarantee [above hi]. *)
-let rec bisect above lo hi =
-  if lo >= hi then hi
-  else
-    let mid = (lo + hi) / 2 in
-    if above mid then bisect above lo mid else bisect above (mid + 1) hi
+(* Least [e] in [lo, hi] with [base - suffix.(e + 1) >= need]: a
+   suffix sum falls with [e], so the test is false then true; callers
+   guarantee it holds at [hi]. *)
+let first_reaching suffix ~base ~need lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if base - suffix.(mid + 1) >= need then hi := mid else lo := mid + 1
+  done;
+  !hi
+
+let alive_count bank =
+  let a = ref 0 in
+  for i = 0 to Bank.size bank - 1 do
+    if not (Bank.is_dead bank i) then incr a
+  done;
+  !a
 
 let alive_units bank =
-  List.fold_left
-    (fun acc i -> acc + (Bank.battery bank i).Dkibam.Battery.n_gamma)
-    0 (Bank.alive bank)
+  let u = ref 0 in
+  for i = 0 to Bank.size bank - 1 do
+    if not (Bank.is_dead bank i) then u := !u + Bank.n_gamma bank i
+  done;
+  !u
 
 (* Step of the draw that takes epoch [e]'s minimum cumulative demand
    past [over] units, restarting the cadence at [local]; the caller
@@ -163,11 +175,11 @@ let crossing_step t e ~local ~over =
    demand exceeds the alive batteries' total charge plus the per-death
    draw-loss slack, minus one; [infinite] when the whole remaining
    demand fits. *)
-let charge_ub t ~y ~local bank alive cmax =
+let charge_ub t ~y ~local bank a cmax =
   (* supply + the draws the demand envelope can lose: each of the
      at most [A] remaining deaths costs one fatal draw plus at most
      [switch_delay] cadence-restart draws (one extra for margin) *)
-  let slack = List.length alive * (t.switch_delay + 2) * cmax in
+  let slack = a * (t.switch_delay + 2) * cmax in
   let u = alive_units bank + slack in
   let sch_y = Loads.Cursor.schedule_from t.cursor y ~local in
   let min_draws_y =
@@ -180,9 +192,7 @@ let charge_ub t ~y ~local bank alive cmax =
     let u = u - units_y in
     let base = t.min_units_after.(y + 1) in
     let e =
-      bisect
-        (fun e -> base - t.min_units_after.(e + 1) > u)
-        (y + 1)
+      first_reaching t.min_units_after ~base ~need:(u + 1) (y + 1)
         (Loads.Cursor.epoch_count t.cursor - 1)
     in
     crossing_step t e ~local:0 ~over:(u - (base - t.min_units_after.(e))) - 1
@@ -263,47 +273,45 @@ let epoch_cross t ~gnum ~supply ~now e ~local ~served =
     end
   end
 
-let avail_ub_of t ~y ~local bank alive cmax =
+let avail_ub_of t ~y ~local bank a cmax =
   let disc = t.disc in
   let c = disc.Dkibam.Discretization.c_milli in
   let n_units = disc.Dkibam.Discretization.n_units in
-  let a = List.length alive in
   (* gain ceiling: [gnum] micro-units per step (rounded up) plus one
-     whole event per battery of constant margin *)
-  let gnum, gcon =
-    List.fold_left
-      (fun (gnum, gcon) i ->
-        let b = Bank.battery bank i in
-        let m_cap = ((c * b.Dkibam.Battery.n_gamma) - 1) / (1000 - c) in
-        (* weird hand-built initial states can sit above the alive
-           ceiling until their first draw; never below the actual m *)
-        let m_ceil =
-          min n_units (max m_cap b.Dkibam.Battery.m_delta + cmax)
-        in
-        if m_ceil < 2 then (gnum, gcon)
-        else
-          let rt = Dkibam.Discretization.recov_time disc m_ceil in
-          (gnum + (((1000 - c) * 1000) + rt - 1) / rt, gcon + (1000 - c)))
-      (0, 0) alive
-  in
-  (* supply in micro-units: available now, the per-death fatal-draw
-     overdraw, the per-death cadence-restart losses, and the constant
-     rounding margin of the gain ceiling *)
+     whole event per battery of constant margin; supply in micro-units,
+     available now *)
+  let gnum = ref 0 and gcon = ref 0 and avail = ref 0 in
+  for i = 0 to Bank.size bank - 1 do
+    if not (Bank.is_dead bank i) then begin
+      let n = Bank.n_gamma bank i and m = Bank.m_delta bank i in
+      (* a battery that serves nothing adds nothing, so its term is at
+         least 0: a hand-built initial state can be alive yet empty by
+         eq. (8), with negative available charge, and counting that
+         charge would pull the bound below lives it can still reach *)
+      avail :=
+        !avail + max 0 (Dkibam.Discretization.available_milli_units disc ~n ~m);
+      let m_cap = ((c * n) - 1) / (1000 - c) in
+      (* weird hand-built initial states can sit above the alive
+         ceiling until their first draw; never below the actual m *)
+      let m_ceil = min n_units (max m_cap m + cmax) in
+      if m_ceil >= 2 then begin
+        let rt = Dkibam.Discretization.recov_time disc m_ceil in
+        gnum := !gnum + ((((1000 - c) * 1000) + rt - 1) / rt);
+        gcon := !gcon + (1000 - c)
+      end
+    end
+  done;
+  let gnum = !gnum in
+  (* plus the per-death fatal-draw overdraw, the per-death
+     cadence-restart losses, and the constant rounding margin of the
+     gain ceiling *)
   let supply =
-    List.fold_left
-      (fun acc i ->
-        acc
-        + (1000
-          * Dkibam.Battery.available_milli_units disc (Bank.battery bank i)))
-      0 alive
+    (1000 * !avail)
     + (1000 * a * (t.switch_delay + 3) * cmax * 1000)
-    + (1000 * gcon)
+    + (1000 * !gcon)
   in
   let now = Loads.Cursor.epoch_start t.cursor y + local in
-  let cross e ~local ~served =
-    epoch_cross t ~gnum ~supply ~now e ~local ~served
-  in
-  let s_y = cross y ~local ~served:0 in
+  let s_y = epoch_cross t ~gnum ~supply ~now y ~local ~served:0 in
   if s_y < infinite then s_y
   else begin
     (* every later epoch [e] enters with [u0 - min_units_after e] units
@@ -313,51 +321,56 @@ let avail_ub_of t ~y ~local bank alive cmax =
       if sch_y.cur = 0 then 0 else max 0 (sch_y.draws - t.skip01) * sch_y.cur
     in
     let u0 = units_y + t.min_units_after.(y + 1) in
-    let cross_after e = cross e ~local:0 ~served:(u0 - t.min_units_after.(e)) in
-    match t.hulls with
+    let s = ref infinite in
+    (match t.hulls with
     | Some h when gnum <= h.g_max && supply <= lim && supply >= -lim ->
         (* the epoch test [demand_end > supply + gnum*(T_e - now)],
-           rearranged as [A_e - gnum*T_e > c] *)
+           rearranged as [A_e - gnum*T_e > c]; the division decides,
+           and should it not cross at the point found, the search
+           resumes after it, as the scan would *)
         let c = supply - (gnum * now) - (scale * u0) in
         let np = Array.length h.px in
-        (* the division decides; should it not cross at the point
-           found, the search resumes after it, as the scan would *)
-        let rec from i =
-          let j = first_above h ~g:gnum ~c ~from:i 1 0 np in
-          if j < 0 then infinite
-          else
-            let s = cross_after h.pe.(j) in
-            if s < infinite then s else from (j + 1)
-        in
-        from h.first.(y + 1)
+        let i = ref h.first.(y + 1) in
+        while !i < np do
+          let j = first_above h ~g:gnum ~c ~from:!i 1 0 np in
+          if j < 0 then i := np
+          else begin
+            let e = h.pe.(j) in
+            s :=
+              epoch_cross t ~gnum ~supply ~now e ~local:0
+                ~served:(u0 - t.min_units_after.(e));
+            i := if !s < infinite then np else j + 1
+          end
+        done
     | _ ->
         let e_count = Loads.Cursor.epoch_count t.cursor in
-        let rec scan e =
-          if e >= e_count then infinite
-          else
-            let s = cross_after e in
-            if s < infinite then s else scan (e + 1)
-        in
-        scan (y + 1)
+        let e = ref (y + 1) in
+        while !e < e_count do
+          s :=
+            epoch_cross t ~gnum ~supply ~now !e ~local:0
+              ~served:(u0 - t.min_units_after.(!e));
+          e := if !s < infinite then e_count else !e + 1
+        done);
+    !s
   end
 
 let avail_ub t ~y ~local bank =
-  let alive = Bank.alive bank in
-  if alive = [] then 0
+  let a = alive_count bank in
+  if a = 0 then 0
   else
     let cmax = t.max_cur_after.(y) in
-    if cmax = 0 then infinite else avail_ub_of t ~y ~local bank alive cmax
+    if cmax = 0 then infinite else avail_ub_of t ~y ~local bank a cmax
 
 let lifetime_ub t ~y ~local bank =
-  let alive = Bank.alive bank in
-  if alive = [] then 0
+  let a = alive_count bank in
+  if a = 0 then 0
   else
     let cmax = t.max_cur_after.(y) in
     if cmax = 0 then infinite
     else
       min
-        (charge_ub t ~y ~local bank alive cmax)
-        (avail_ub_of t ~y ~local bank alive cmax)
+        (charge_ub t ~y ~local bank a cmax)
+        (avail_ub_of t ~y ~local bank a cmax)
 
 let lifetime_lb t ~y ~local bank =
   let cmax = t.max_cur_after.(y) in
@@ -367,19 +380,22 @@ let lifetime_lb t ~y ~local bank =
        the available charge drops by at most 1000*cmax milli-units per
        draw (eq. (8) route) and the total charge by at most cmax units
        (insufficient-charge route) *)
-    let d_min =
-      List.fold_left
-        (fun acc i ->
-          let b = Bank.battery bank i in
-          let avail = Dkibam.Battery.available_milli_units t.disc b in
-          let d_empty =
-            if avail <= 0 then 1
-            else (avail + (1000 * cmax) - 1) / (1000 * cmax)
-          in
-          let d_lack = (b.Dkibam.Battery.n_gamma / cmax) + 1 in
-          acc + max 1 (min d_empty d_lack))
-        0 (Bank.alive bank)
-    in
+    let d_min = ref 0 in
+    for i = 0 to Bank.size bank - 1 do
+      if not (Bank.is_dead bank i) then begin
+        let n = Bank.n_gamma bank i in
+        let avail =
+          Dkibam.Discretization.available_milli_units t.disc ~n
+            ~m:(Bank.m_delta bank i)
+        in
+        let d_empty =
+          if avail <= 0 then 1 else (avail + (1000 * cmax) - 1) / (1000 * cmax)
+        in
+        let d_lack = (n / cmax) + 1 in
+        d_min := !d_min + max 1 (min d_empty d_lack)
+      end
+    done;
+    let d_min = !d_min in
     if d_min = 0 then 0
     else begin
       let sch_y = Loads.Cursor.schedule_from t.cursor y ~local in
@@ -390,9 +406,7 @@ let lifetime_lb t ~y ~local bank =
         let rem = d_min - sch_y.draws in
         let base = t.draws_after.(y + 1) in
         let e =
-          bisect
-            (fun e -> base - t.draws_after.(e + 1) >= rem)
-            (y + 1)
+          first_reaching t.draws_after ~base ~need:rem (y + 1)
             (Loads.Cursor.epoch_count t.cursor - 1)
         in
         let k = rem - (base - t.draws_after.(e)) in
@@ -406,7 +420,7 @@ let stranded_lb t ~y ~local bank =
   let n = Bank.size bank in
   let s_dead = ref 0 and s_alive = ref 0 in
   for i = 0 to n - 1 do
-    let units = (Bank.battery bank i).Dkibam.Battery.n_gamma in
+    let units = Bank.n_gamma bank i in
     if Bank.is_dead bank i then s_dead := !s_dead + units
     else s_alive := !s_alive + units
   done;

@@ -74,8 +74,9 @@ val lifetime_ub : t -> y:int -> local:int -> Bank.t -> int
 val avail_ub : t -> y:int -> local:int -> Bank.t -> int
 (** The availability constraint of {!lifetime_ub} alone: one step before
     the first draw at which the minimum cumulative demand outruns the
-    alive batteries' available charge plus their maximal recovery gain
-    (and the per-death slacks), or {!infinite}.  {!lifetime_ub} is the
+    alive batteries' available charge (each counted at no less than 0)
+    plus their maximal recovery gain (and the per-death slacks), or
+    {!infinite}.  {!lifetime_ub} is the
     minimum of this and the total-charge constraint.
 
     For the epochs after [y] the test "demand at epoch [e]'s last draw

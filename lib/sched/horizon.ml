@@ -111,15 +111,12 @@ let policy ?(switch_delay = 1) ?bounds ?shared ?budget_segments
        consulted, so plan from the post-delay state. *)
     let delay = if ctx.mid_job then switch_delay else 0 in
     let bank =
-      Bank.of_parts ctx.disc
-        ~batteries:
-          (Array.map
-             (fun b -> Dkibam.Battery.tick_many ctx.disc delay b)
-             ctx.batteries)
+      Bank.of_parts ctx.disc ~batteries:ctx.batteries
         ~dead:
           (Array.init (Array.length ctx.batteries) (fun i ->
                not (List.mem i ctx.alive)))
     in
+    Bank.tick_all bank delay;
     let budget =
       Option.map
         (fun n -> Guard.Budget.create ~max_segments:n ())

@@ -53,7 +53,7 @@ type pos = {
 }
 
 type seg_outcome =
-  | Terminal of (int * int)  (* death step, stranded units *)
+  | Terminal of int * int  (* death step, stranded units *)
   | Next of pos
   | Exhausted
 
@@ -97,38 +97,40 @@ let run_segment cursor ~switch_delay ~skip_final pos b =
       end
 
 (* Canonical memo key: decision point plus the multiset of battery states
-   (identical cells make schedules confluent up to battery renaming). *)
+   (identical cells make schedules confluent up to battery renaming),
+   [y; local] then the bank's sorted blocks ({!Bank.key}). *)
 module Key = struct
   type t = int array
 
-  let equal = ( = )
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
 
   let hash (a : t) =
     let h = ref 0x3bf29ce484222325 in
-    Array.iter (fun v -> h := (!h lxor v) * 0x100000001b3 land max_int) a;
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3 land max_int
+    done;
     !h
 
   let of_pos (p : pos) =
-    let n = Bank.size p.bank in
-    let cells =
-      Array.init n (fun i ->
-          let b = Bank.battery p.bank i in
-          ( b.Dkibam.Battery.n_gamma,
-            b.Dkibam.Battery.m_delta,
-            b.Dkibam.Battery.recov_clock,
-            Bank.is_dead p.bank i ))
-    in
-    Array.sort compare cells;
-    let key = Array.make (2 + (4 * n)) 0 in
+    let key = Bank.key p.bank ~head:2 in
     key.(0) <- p.y;
     key.(1) <- p.local;
-    Array.iteri
-      (fun i (n_gamma, m_delta, clock, d) ->
-        key.(2 + (4 * i)) <- n_gamma;
-        key.(3 + (4 * i)) <- m_delta;
-        key.(4 + (4 * i)) <- clock;
-        key.(5 + (4 * i)) <- (if d then 1 else 0))
-      cells;
+    key
+
+  (* The planner's key: the window frontier, then the position's key. *)
+  let framed ~frontier (p : pos) =
+    let key = Bank.key p.bank ~head:3 in
+    key.(0) <- frontier;
+    key.(1) <- p.y;
+    key.(2) <- p.local;
     key
 end
 
@@ -186,18 +188,22 @@ let fresh_work () = { segments = 0; pruned = 0; misses = 0; cuts = 0 }
 type core = {
   cursor : Loads.Cursor.t;
   switch_delay : int;
-  skips : bool list;  (** final-draw-skip options tried per battery *)
+  try_skip : bool;  (** each battery also tried with the final-draw skip *)
   frontier : int;  (** positions in epochs [>= frontier] score [terminal] *)
   terminal : pos -> int;
   outlived : unit -> int;  (** value of a continuation outliving the load *)
-  score : int * int -> int;  (** objective score of (death step, stranded) *)
+  score : int -> int -> int;  (** objective score of a death step, stranded *)
   ub : pos -> int;
       (** admissible upper bound on a position's value; [max_int] when
           the bound cannot cut *)
-  floor : pos -> int;  (** achievable floor seeding a node's best value *)
+  floor : pos -> int;
+      (** achievable floor seeding a node's best value; never above
+          [ub] *)
   key : pos -> Key.t;
   table : int Tbl.t;
   shared : Memo.scope option;
+  pending : (Key.t * int) list ref;
+      (** this search's stores, newest first, not yet in [shared] *)
   charge : unit -> unit;  (** budget hook, once per simulated segment *)
   on_miss : int -> unit;  (** once per explored position, with its depth *)
   work : work;
@@ -205,9 +211,10 @@ type core = {
 
 (* Cross-request shared store (Sched.Memo): lookups fall through the
    private table to the shared one (copying hits local, so the shared
-   shard lock is taken once per distinct position); stores publish to
-   both.  Every entry is an exact value, so warmth changes the work,
-   never the result. *)
+   shard lock is taken once per distinct position).  Stores stay
+   private until the search ends exact — [publish] — so a search a
+   budget stops adds nothing to the store.  Every entry is an exact
+   value, so warmth changes the work, never the result. *)
 let lookup c key =
   match Tbl.find_opt c.table key with
   | Some _ as v -> v
@@ -223,45 +230,60 @@ let lookup c key =
 
 let store c key v =
   Tbl.replace c.table key v;
-  match c.shared with Some s -> Memo.add s key v | None -> ()
+  match c.shared with
+  | Some _ -> c.pending := (key, v) :: !(c.pending)
+  | None -> ()
+
+(* Oldest first, as the stores happened: a subtree's root is inserted
+   after its descendants and so is the last the store evicts. *)
+let publish c =
+  (match c.shared with
+  | Some s -> List.iter (fun (k, v) -> Memo.add s k v) (List.rev !(c.pending))
+  | None -> ());
+  c.pending := []
 
 let choices c (p : pos) =
   List.concat_map
-    (fun b -> List.map (fun sk -> (b, sk)) c.skips)
+    (fun b -> if c.try_skip then [ (b, false); (b, true) ] else [ (b, false) ])
     (Bank.alive p.bank)
 
 (* What [child] reports for a cut: the child's value is only known to
    be at most the best sibling value, and [min_int] never wins a max. *)
 let cut = min_int
 
-let no_child _ _ = ()
+let no_child _ _ _ = ()
 let no_cut _ = max_int
 
 (* [value c ~depth ~seed ~on_child key p]: the exact value of position
    [p], whose memo key [key] has just missed — the max of [seed] and of
    its children's values.  [seed] must be achievable by some
    continuation, so the stored maximum stays exact while it lets
-   dominated children be cut before any of them is explored.
-   [on_child] sees each child value that was not cut, in choice order.
-   [depth] counts decisions from the root and only feeds [on_miss]. *)
+   dominated children be cut before any of them is explored.  The
+   children are the alive batteries in id order, each without and then
+   (when tried) with the final-draw skip; [on_child b skip v] sees each
+   child value that was not cut, in that order.  [depth] counts
+   decisions from the root and only feeds [on_miss]. *)
 let rec value c ~depth ~seed ~on_child key p =
   c.work.misses <- c.work.misses + 1;
   c.on_miss depth;
   let best = ref seed in
-  List.iter
-    (fun ch ->
-      let v = child c ~depth !best p ch in
-      if v <> cut then begin
-        on_child ch v;
-        if v > !best then best := v
-      end)
-    (choices c p);
+  let skips = if c.try_skip then 1 else 0 in
+  for b = 0 to Bank.size p.bank - 1 do
+    if not (Bank.is_dead p.bank b) then
+      for s = 0 to skips do
+        let v = child c ~depth !best p b (s = 1) in
+        if v <> cut then begin
+          on_child b (s = 1) v;
+          if v > !best then best := v
+        end
+      done
+  done;
   (* a decision point always has at least one alive battery *)
   assert (!best > min_int);
   store c key !best;
   !best
 
-(* [child c ~depth best p (b, skip_final)]: serve from [p] with battery
+(* [child c ~depth best p b skip_final]: serve from [p] with battery
    [b] up to the next decision point, then value the outcome — a death
    by its score, a frontier position by [terminal], a continuation past
    the load by [outlived], an explored position by its memo entry.
@@ -270,12 +292,16 @@ let rec value c ~depth ~seed ~on_child key p =
    cannot beat [best] is cut: its value is [<= ub <= best], so the
    parent's max — and, because [best] only grows along the first-max
    fold, its argmax and the replayed schedule — are unchanged.  Any
-   other miss is explored. *)
-and child c ~depth best p (b, skip_final) =
+   other miss is explored, seeded by its floor.  The floor is asked
+   first because [floor <= value <= ub]: with [best = min_int] (the
+   first child of an unseeded node) or a floor above [best], [ub] must
+   exceed [best] too, so the bound is not asked at all — the cut
+   decision is the one the [ub] query would make. *)
+and child c ~depth best p b skip_final =
   c.work.segments <- c.work.segments + 1;
   c.charge ();
   match run_segment c.cursor ~switch_delay:c.switch_delay ~skip_final p b with
-  | Terminal t -> c.score t
+  | Terminal (step, stranded) -> c.score step stranded
   | Exhausted -> c.outlived ()
   | Next p' -> (
       if p'.y >= c.frontier then c.terminal p'
@@ -286,24 +312,52 @@ and child c ~depth best p (b, skip_final) =
             c.work.pruned <- c.work.pruned + 1;
             v
         | None ->
-            if c.ub p' <= best then begin
+            let floor = c.floor p' in
+            if best > min_int && floor <= best && c.ub p' <= best then begin
               c.work.cuts <- c.work.cuts + 1;
               cut
             end
             else
-              value c ~depth:(depth + 1) ~seed:(c.floor p') ~on_child:no_child
-                key p')
+              value c ~depth:(depth + 1) ~seed:floor ~on_child:no_child key p')
 
 (* The first choice at [p] whose value is [v] — the same selection the
    strict-argmax fold makes.  Asking [child] to beat [v - 1] skips, with
    bounds on, every sibling whose upper bound falls strictly below [v]:
    it cannot be that first match. *)
 let first_match c p v =
-  List.find (fun ch -> child c ~depth:0 (v - 1) p ch = v) (choices c p)
+  List.find (fun (b, sk) -> child c ~depth:0 (v - 1) p b sk = v) (choices c p)
 
 (* ------------------------------------------------------------------ *)
 (* Exact search                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* Objective-specific admissible upper bound on the score at a position;
+   [max_int] when the bound cannot cut — in particular whenever some
+   continuation might outlive the load, because a pruned subtree must
+   be provably free of [Load_too_short]. *)
+let score_ub objective bd ~y ~local bank =
+  let ub = Bound.lifetime_ub bd ~y ~local bank in
+  if ub >= Bound.infinite then max_int
+  else
+    match objective with
+    | Max_lifetime -> ub
+    | Min_stranded -> -Bound.stranded_lb bd ~y ~local bank
+    | Min_lifetime ->
+        let lb = Bound.lifetime_lb bd ~y ~local bank in
+        if lb >= Bound.infinite then max_int else -lb
+
+(* Achievable floor on the score at a position: every continuation dies
+   (one that outlives the load raises [Load_too_short]), and each that
+   dies scores at least this much. *)
+let score_floor objective bd ~y ~local bank =
+  match objective with
+  | Max_lifetime ->
+      let lb = Bound.lifetime_lb bd ~y ~local bank in
+      if lb >= Bound.infinite then min_int else lb
+  | Min_lifetime ->
+      let ub = Bound.lifetime_ub bd ~y ~local bank in
+      if ub >= Bound.infinite then min_int else -ub
+  | Min_stranded -> min_int
 
 let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     ?(objective = Max_lifetime) ?bounds ?(allow_final_draw_skip = false)
@@ -319,7 +373,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
   Obs.incr c_searches;
   Obs.time s_search @@ fun () ->
   let cursor = Loads.Cursor.make load in
-  let score (step, stranded_units) =
+  let score step stranded_units =
     match objective with
     | Max_lifetime -> step
     | Min_stranded -> -stranded_units
@@ -331,41 +385,13 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
       Some (Bound.create ~switch_delay ~allow_final_draw_skip disc cursor)
     else None
   in
-  (* Objective-specific admissible upper bound on [score] at a position;
-     [max_int] when the bound cannot cut — in particular whenever some
-     continuation might outlive the load, because a pruned subtree must
-     be provably free of [Load_too_short]. *)
-  let score_ub =
+  let ub, floor =
     match bound with
-    | None -> no_cut
-    | Some bd -> (
-        fun (p : pos) ->
-          let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
-          if ub >= Bound.infinite then max_int
-          else
-            match objective with
-            | Max_lifetime -> ub
-            | Min_stranded -> -Bound.stranded_lb bd ~y:p.y ~local:p.local p.bank
-            | Min_lifetime ->
-                let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-                if lb >= Bound.infinite then max_int else -lb)
-  in
-  (* Achievable floor on a node's value: every continuation dies (one
-     that outlives the load raises [Load_too_short]), and each that dies
-     scores at least this much. *)
-  let seed_score =
-    match bound with
-    | None -> fun _ -> min_int
-    | Some bd -> (
-        fun (p : pos) ->
-          match objective with
-          | Max_lifetime ->
-              let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-              if lb >= Bound.infinite then min_int else lb
-          | Min_lifetime ->
-              let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
-              if ub >= Bound.infinite then min_int else -ub
-          | Min_stranded -> min_int)
+    | None -> (no_cut, fun _ -> min_int)
+    | Some bd ->
+        ( (fun (p : pos) -> score_ub objective bd ~y:p.y ~local:p.local p.bank),
+          fun (p : pos) -> score_floor objective bd ~y:p.y ~local:p.local p.bank
+        )
   in
   let table : int Tbl.t = Tbl.create 4096 in
   let work = fresh_work () in
@@ -445,21 +471,22 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     {
       cursor;
       switch_delay;
-      skips = (if allow_final_draw_skip then [ false; true ] else [ false ]);
+      try_skip = allow_final_draw_skip;
       (* a [Next] position always lies inside the load, so with the
          frontier past its end the terminal value is never asked for *)
       frontier = Loads.Cursor.epoch_count cursor;
       terminal = (fun _ -> assert false);
       outlived = (fun () -> raise Load_too_short);
       score;
-      ub = score_ub;
-      floor = seed_score;
+      ub;
+      floor;
       key = Key.of_pos;
       table;
       shared =
         Option.map
           (fun m -> Memo.scope m ~fingerprint:("search|" ^ Lazy.force fp))
           shared;
+      pending = ref [];
       charge;
       on_miss =
         (fun depth ->
@@ -500,7 +527,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         in
         match o.Simulator.lifetime_steps with
         | None -> min_int
-        | Some steps -> score (steps, Bank.stranded_units o.Simulator.final))
+        | Some steps -> score steps (Bank.stranded_units o.Simulator.final))
   in
   let eval_serial () =
     match lookup c root_key with
@@ -514,7 +541,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         try
           Ok
             (value c ~depth:0 ~seed:incumbent_floor
-               ~on_child:(fun ch v -> completed := (ch, v) :: !completed)
+               ~on_child:(fun b sk v -> completed := ((b, sk), v) :: !completed)
                root_key root)
         with Guard.Budget.Tripped r -> Error r)
   in
@@ -535,9 +562,16 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
        cut never depends on completion order.  A cut branch is settled
        (its value is provably <= the incumbent, which the root max
        already includes), so cuts count towards completion. *)
-    let branch ch =
-      let bc = { c with table = Tbl.create 4096; work = fresh_work () } in
-      match child bc ~depth:0 incumbent_floor root ch with
+    let branch (b, sk) =
+      let bc =
+        {
+          c with
+          table = Tbl.create 4096;
+          work = fresh_work ();
+          pending = ref [];
+        }
+      in
+      match child bc ~depth:0 incumbent_floor root b sk with
       | v -> (Some v, bc)
       | exception Guard.Budget.Tripped _ -> (None, bc)
     in
@@ -553,6 +587,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         work.misses <- work.misses + bc.work.misses;
         work.cuts <- work.cuts + bc.work.cuts;
         Tbl.iter (fun k v -> Tbl.replace table k v) bc.table;
+        c.pending := !(bc.pending) @ !(c.pending);
         match o with
         | Some v ->
             incr settled;
@@ -622,7 +657,12 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     { lifetime_steps; stranded_units; schedule; status; stats }
   in
   match outcome with
-  | Ok v -> finish Optimal (follow root (first_match c root v) v [])
+  | Ok v ->
+      let r = finish Optimal (follow root (first_match c root v) v []) in
+      (* exact to the root: the branches' and the replay's entries go
+         public together; a tripped search keeps them private *)
+      publish c;
+      r
   | Error trip -> (
       Obs.incr c_exhausted;
       (* Anytime degradation: the best fully-evaluated first-decision
@@ -639,7 +679,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         | None -> raise Load_too_short
         | Some steps ->
             let stranded = Bank.stranded_units o.Simulator.final in
-            ( score (steps, stranded),
+            ( score steps stranded,
               ( steps,
                 stranded,
                 Array.of_list (List.map snd o.Simulator.decisions) ) )
@@ -710,7 +750,7 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
     invalid_arg "Sched.Optimal.plan: y out of range";
   if local < 0 || local >= Loads.Cursor.epoch_len cursor y then
     invalid_arg "Sched.Optimal.plan: local out of range";
-  if Bank.alive bank = [] then
+  if not (Bank.any_alive bank) then
     invalid_arg "Sched.Optimal.plan: no battery alive";
   (* Certified window values: a position's value is the max over
      battery choices of the death step, the terminal bound at the
@@ -724,28 +764,24 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
     {
       cursor;
       switch_delay = t.p_switch_delay;
-      skips = [ false ];
+      try_skip = false;
       frontier = frontier_epoch;
       (* admissible terminal value: the pooled-recovery lower bound —
          every continuation from the frontier survives to at least this
          step ([Bound.infinite]: none can die within the load) *)
       terminal = (fun p -> Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank);
       outlived = (fun () -> Bound.infinite);
-      score = fst;
+      score = (fun step _ -> step);
       ub =
         (if t.p_bounds_on then (fun p ->
            let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
            if ub < Bound.infinite then ub else max_int)
          else no_cut);
       floor = (fun _ -> min_int);
-      key =
-        (fun p ->
-          let k = Key.of_pos p in
-          let key = Array.make (Array.length k + 1) frontier_epoch in
-          Array.blit k 0 key 1 (Array.length k);
-          key);
+      key = Key.framed ~frontier:frontier_epoch;
       table = t.p_memo;
       shared = t.p_shared;
+      pending = ref [];
       charge =
         (match budget with
         | Some b -> fun () -> Guard.Budget.charge_segment_exn b
@@ -758,12 +794,14 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
   let choice = ref (-1) and best = ref min_int in
   match
     value c ~depth:0 ~seed:min_int
-      ~on_child:(fun (b, _) v ->
+      ~on_child:(fun b _ v ->
         if v > !best then begin
           best := v;
           choice := b
         end)
       (c.key root) root
   with
-  | v -> Some { plan_choice = !choice; plan_value = v }
+  | v ->
+      publish c;
+      Some { plan_choice = !choice; plan_value = v }
   | exception Guard.Budget.Tripped _ -> None

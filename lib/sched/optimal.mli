@@ -213,8 +213,11 @@ val search :
     checkpointed search ignores [pool] and runs serially.
 
     [shared] plugs a process-wide {!Memo} store under the private memo
-    table: lookups fall through to the store, and every exact value
-    computed here is published back, scoped by the same input
+    table: lookups fall through to the store, and the exact values
+    computed here are published back once the search ends with status
+    [Optimal] — a pooled search's branches once the root settles — so
+    a search a budget stops adds nothing to the store and cannot evict
+    other searches' entries.  Entries are scoped by the same input
     fingerprint the checkpoint layer uses (plus a kind tag, so search
     and planner entries never collide).  Memo entries are exact subtree
     values independent of exploration order, bound mode and budget
@@ -238,6 +241,22 @@ val lifetime :
 (** Optimal system lifetime in minutes ([search] composed with
     {!Dkibam.Discretization.minutes_of_steps}; [pool] and [budget] as in
     [search] — under a tripped budget this is the anytime lifetime). *)
+
+val score_floor :
+  objective -> Bound.t -> y:int -> local:int -> Bank.t -> int
+(** The floor with bounds on {!search} seeds a position's value with:
+    a score every continuation from [(y, local, bank)] reaches when it
+    dies ([min_int] when none is known).  [Bound.t] must be built with
+    the search's switch delay and final-draw-skip flag. *)
+
+val score_ub : objective -> Bound.t -> y:int -> local:int -> Bank.t -> int
+(** The admissible upper bound on the score at a position that
+    {!search} cuts with ([max_int] when it cannot cut).  At a position
+    with an alive battery it is never below {!score_floor}, since
+    [Bound.lifetime_lb <= Bound.lifetime_ub] there; the search relies
+    on it to skip this query for a child whose floor already beats the
+    best sibling, or that has no sibling value yet — the query could
+    not cut it.  Asserted in the test suite. *)
 
 (** {2 Suffix planning with a terminal bound}
 
@@ -304,5 +323,7 @@ val plan :
     past the load's last epoch the planned choice is exactly the optimal
     one.  [budget] is charged one unit per simulated segment; [None] is
     returned if it trips mid-plan (entries memoized before the trip are
-    exact and are kept).  Raises [Invalid_argument] if [(y, local)] is
-    not inside the load or no battery is alive. *)
+    exact and stay in the planner's private table; only a completed
+    plan publishes its entries to the shared scope).  Raises
+    [Invalid_argument] if [(y, local)] is not inside the load or no
+    battery is alive. *)

@@ -135,6 +135,37 @@ let test_replay_table5 () =
         (table5_loads disc_name))
     discs
 
+let test_differential_empty_initial () =
+  (* a hand-built pack may hold a battery that is alive yet already
+     empty by eq. (8): its first draw kills it, and until then it only
+     recovers.  Its negative available charge must not drag the
+     availability bound below the lives the rest of the pack reaches. *)
+  List.iter
+    (fun name ->
+      let a = arrays name in
+      List.iter
+        (fun (n_gamma, m_delta) ->
+          let initial =
+            [|
+              Dkibam.Battery.make disc_b1 ~n_gamma ~m_delta ~recov_clock:0;
+              Dkibam.Battery.full disc_b1;
+              Dkibam.Battery.full disc_b1;
+            |]
+          in
+          let search bounds =
+            Sched.Optimal.search ~bounds ~initial ~n_batteries:3 disc_b1 a
+          in
+          check_identical
+            ~what:
+              (Printf.sprintf "%s from an empty (%d, %d) cell"
+                 (Loads.Testloads.to_string name) n_gamma m_delta)
+            (search true) (search false))
+        [ (46, 49); (120, 200); (100, 400) ])
+    [
+      Loads.Testloads.CL_500; Loads.Testloads.CL_alt; Loads.Testloads.ILs_500;
+      Loads.Testloads.ILl_500;
+    ]
+
 let chaos_seed = Guard.Chaos.seed_from_env ~default:20260806L ()
 
 let random_load g =
@@ -286,7 +317,9 @@ let test_admissible_traces () =
 
 (* [Sched.Bound.avail_ub] as it stood before the hull tree: one pass
    over every remaining epoch, [served] accumulated along the way.  The
-   hull query must return this value at every position. *)
+   hull query must return this value at every position.  Its supply
+   counts each alive battery's available charge at no less than 0, as
+   the bound does: a battery that serves nothing adds nothing. *)
 let scan_avail_ub (disc : Dkibam.Discretization.t) cursor ~switch_delay ~skip
     ~y ~local bank =
   let skip01 = if skip then 1 else 0 in
@@ -317,8 +350,10 @@ let scan_avail_ub (disc : Dkibam.Discretization.t) cursor ~switch_delay ~skip
       List.fold_left
         (fun acc i ->
           acc
-          + (1000
-            * Dkibam.Battery.available_milli_units disc (Sched.Bank.battery bank i)))
+          + 1000
+            * max 0
+                (Dkibam.Battery.available_milli_units disc
+                   (Sched.Bank.battery bank i)))
         0 alive
       + (1000 * a * (switch_delay + 3) * cmax * 1000)
       + (1000 * gcon)
@@ -374,8 +409,18 @@ let random_position g (disc : Dkibam.Discretization.t) cursor =
   let dead = Array.init size (fun _ -> Prng.Splitmix.int g 4 = 0) in
   (y, local, Sched.Bank.of_parts disc ~batteries ~dead)
 
-let test_avail_hull_equals_scan () =
-  let g = Prng.Splitmix.create (Int64.add chaos_seed 17L) in
+(* Every Table 5 load on 2xB1 and 2xB2, then the bound suite's four
+   regimes on their own cells, as (label, battery, bank size, load). *)
+let table5_both =
+  List.concat_map
+    (fun (dname, disc) ->
+      List.map
+        (fun name ->
+          (Loads.Testloads.to_string name ^ " " ^ dname, disc, 2, arrays name))
+        Loads.Testloads.all_names)
+    discs
+
+let regimes =
   let regime label disc n jobs seed currents idle =
     ( label,
       disc,
@@ -384,20 +429,30 @@ let test_avail_hull_equals_scan () =
         (Loads.Random_load.intermitted ~seed ~jobs ~currents ~idle_duration:idle
            ()) )
   in
+  [
+    regime "marginal" disc_b1 3 40 2L [| 0.25; 0.5 |] 1.0;
+    regime "overdrive" disc_b2 2 60 1L [| 0.5 |] 0.5;
+    regime "mixed" disc_b2 2 40 1L [| 0.25; 0.5; 1.0 |] 1.0;
+    regime "overload" disc_b1 3 40 1L [| 0.5; 2.0 |] 1.0;
+  ]
+
+let bound_loads = table5_both @ regimes
+
+(* The decision points of best-of, round-robin and sequential runs, as
+   [(y, local, bank)]. *)
+let traced_positions disc a ~n_batteries =
+  List.concat_map
+    (fun policy ->
+      List.map
+        (fun (y, _, local, bank) -> (y, local, bank))
+        (snd (decision_points disc a ~n_batteries policy)))
+    [ Sched.Policy.Best_of; Sched.Policy.Round_robin; Sched.Policy.Sequential ]
+
+let test_avail_hull_equals_scan () =
+  let g = Prng.Splitmix.create (Int64.add chaos_seed 17L) in
   let loads =
-    List.concat_map
-      (fun (dname, disc) ->
-        List.map
-          (fun name ->
-            (Loads.Testloads.to_string name ^ " " ^ dname, disc, 2, arrays name))
-          Loads.Testloads.all_names)
-      discs
+    bound_loads
     @ [
-        (* the bound suite's four regimes *)
-        regime "marginal" disc_b1 3 40 2L [| 0.25; 0.5 |] 1.0;
-        regime "overdrive" disc_b2 2 60 1L [| 0.5 |] 0.5;
-        regime "mixed" disc_b2 2 40 1L [| 0.25; 0.5; 1.0 |] 1.0;
-        regime "overload" disc_b1 3 40 1L [| 0.5; 2.0 |] 1.0;
         (* the longest spec load the parser accepts *)
         ( "20,000 epochs",
           disc_b1,
@@ -426,14 +481,7 @@ let test_avail_hull_equals_scan () =
   List.iter
     (fun (label, disc, n_batteries, a) ->
       let cursor = Loads.Cursor.make a in
-      let traced =
-        List.concat_map
-          (fun policy ->
-            List.map
-              (fun (y, _, local, bank) -> (y, local, bank))
-              (snd (decision_points disc a ~n_batteries policy)))
-          [ Sched.Policy.Best_of; Sched.Policy.Round_robin; Sched.Policy.Sequential ]
-      in
+      let traced = traced_positions disc a ~n_batteries in
       let randoms = List.init 150 (fun _ -> random_position g disc cursor) in
       List.iter
         (fun (skip, switch_delay) ->
@@ -460,6 +508,76 @@ let test_avail_hull_equals_scan () =
      of two infinities *)
   if 4 * !finite < !compared then
     Alcotest.failf "only %d of %d comparisons were finite" !finite !compared
+
+(* ------------------------------------------------------------------ *)
+(* Property: floor <= ub                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The search skips a child's upper-bound query when the child's floor
+   already beats the best sibling, which is exact only because a
+   position's floor never exceeds its upper bound: [lifetime_lb <=
+   lifetime_ub], and so, for every objective, the search's score floor
+   is at most its score bound. *)
+let test_floor_below_ub () =
+  let g = Prng.Splitmix.create (Int64.add chaos_seed 29L) in
+  let checked = ref 0 and finite = ref 0 in
+  List.iter
+    (fun (label, disc, n_batteries, a) ->
+      let cursor = Loads.Cursor.make a in
+      (* a decision point always has an alive battery *)
+      let positions =
+        traced_positions disc a ~n_batteries
+        @ List.filter
+            (fun (_, _, bank) -> Sched.Bank.any_alive bank)
+            (List.init 100 (fun _ -> random_position g disc cursor))
+      in
+      List.iter
+        (fun (skip, switch_delay) ->
+          let bound =
+            Sched.Bound.create ~switch_delay ~allow_final_draw_skip:skip disc
+              cursor
+          in
+          List.iter
+            (fun (y, local, bank) ->
+              let lb = Sched.Bound.lifetime_lb bound ~y ~local bank in
+              let ub = Sched.Bound.lifetime_ub bound ~y ~local bank in
+              incr checked;
+              if ub < Sched.Bound.infinite then incr finite;
+              if lb > ub then
+                Alcotest.failf
+                  "%s (skip %b, delay %d) at y=%d local=%d: lifetime_lb %d > \
+                   lifetime_ub %d [seed %Ld]"
+                  label skip switch_delay y local lb ub chaos_seed;
+              List.iter
+                (fun (obj_name, objective) ->
+                  let floor =
+                    Sched.Optimal.score_floor objective bound ~y ~local bank
+                  in
+                  let score_ub =
+                    Sched.Optimal.score_ub objective bound ~y ~local bank
+                  in
+                  if floor > score_ub then
+                    Alcotest.failf
+                      "%s (skip %b, delay %d, %s) at y=%d local=%d: floor %d > \
+                       score bound %d [seed %Ld]"
+                      label skip switch_delay obj_name y local floor score_ub
+                      chaos_seed)
+                objectives)
+            positions)
+        [
+          (false, 0); (true, 0); (false, 1); (true, 1); (false, 3); (true, 3);
+        ])
+    (* the regimes on the other cell too *)
+    (bound_loads
+    @ List.map
+        (fun (label, disc, n, a) ->
+          let other = if disc == disc_b1 then disc_b2 else disc_b1 in
+          (label ^ " (other cell)", other, n, a))
+        regimes);
+  (* most positions must have a finite upper bound, or the ordering is
+     checked against infinity alone *)
+  if 2 * !finite < !checked then
+    Alcotest.failf "only %d of %d upper bounds were finite" !finite !checked
 
 (* ------------------------------------------------------------------ *)
 (* Property: monotonicity in charge                                    *)
@@ -562,6 +680,8 @@ let () =
             test_differential_table5;
           Alcotest.test_case "replay through simulator" `Quick
             test_replay_table5;
+          Alcotest.test_case "hand-built pack with an empty cell" `Quick
+            test_differential_empty_initial;
           Alcotest.test_case "random loads" `Slow test_differential_random;
         ] );
       ( "properties",
@@ -570,6 +690,7 @@ let () =
             test_admissible_traces;
           Alcotest.test_case "avail_ub hull = scan" `Quick
             test_avail_hull_equals_scan;
+          Alcotest.test_case "floor <= upper bound" `Quick test_floor_below_ub;
           Alcotest.test_case "monotone in charge" `Quick
             test_monotone_in_charge;
           Alcotest.test_case "permutation symmetry" `Quick

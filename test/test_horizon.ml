@@ -16,7 +16,11 @@
    run IS the fallback policy's run; every emitted schedule replays
    through [Policy.Fixed] to the same outcome; the ensemble hook
    ([?extra_policies]) is bit-identical serial vs pooled; and the
-   [horizon.*] observability counters account for every decision. *)
+   [horizon.*] observability counters account for every decision.
+
+   The random-load differential is seeded from CHAOS_SEED when set, so a
+   CI failure reproduces locally with [CHAOS_SEED=... dune runtest]; the
+   seed is printed either way. *)
 
 let disc_b1 = Dkibam.Discretization.paper_b1
 let disc_b2 = Dkibam.Discretization.paper_b2
@@ -75,6 +79,39 @@ let test_full_window_matches_exact () =
             [ true; false ])
         (table5_loads disc_name))
     [ ("B1", disc_b1); ("B2", disc_b2) ]
+
+(* The planner's cuts, and its skip of upper-bound queries that could
+   not cut, change its work and never a decision: on random 3xB1 loads
+   the policy plans bit-identically with bounds on and off. *)
+let chaos_seed = Guard.Chaos.seed_from_env ~default:20260819L ()
+
+let test_random_bounds_identical () =
+  let g = Prng.Splitmix.create chaos_seed in
+  for i = 1 to 24 do
+    let seed = Prng.Splitmix.next_int64 g in
+    let jobs = 40 + Prng.Splitmix.int g 21 in
+    let a =
+      enc
+        (Loads.Random_load.intermitted ~seed ~jobs ~currents:[| 0.5; 0.75 |] ())
+    in
+    List.iter
+      (fun k ->
+        let run bounds =
+          Sched.Simulator.simulate ~n_batteries:3
+            ~policy:(Sched.Horizon.policy ~bounds ~k ())
+            disc_b1 a
+        in
+        let on = run true and off = run false in
+        if
+          on.lifetime_steps <> off.lifetime_steps
+          || decisions_of on <> decisions_of off
+        then
+          Alcotest.failf
+            "load %d (seed %Ld, %d jobs, CHAOS_SEED %Ld) k=%d: bounds on and \
+             off plan differently"
+            i seed jobs chaos_seed k)
+      [ 2; 4 ]
+  done
 
 (* A frontier past the load's end makes [Optimal.plan] the exact suffix
    search itself: the root value is the optimal lifetime and the root
@@ -471,6 +508,7 @@ let test_obs_counters () =
     Alcotest.fail "a one-segment budget never tripped"
 
 let () =
+  Printf.printf "test_horizon: CHAOS_SEED=%Ld\n%!" chaos_seed;
   Alcotest.run "horizon"
     [
       ( "differential",
@@ -479,6 +517,8 @@ let () =
             test_full_window_matches_exact;
           Alcotest.test_case "full-suffix plan = exact root" `Quick
             test_plan_full_suffix_is_exact;
+          Alcotest.test_case "random loads, bounds on = off" `Quick
+            test_random_bounds_identical;
         ] );
       ( "certificates",
         [

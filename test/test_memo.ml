@@ -14,7 +14,9 @@
    - the atomic statistics are consistent once the store quiesces:
      lookups = hits + misses, entries = insertions - evictions;
    - scopes isolate: a key published under one fingerprint is
-     invisible to every other. *)
+     invisible to every other;
+   - only exact work is published: a search or plan a budget stops
+     adds nothing to the store. *)
 
 let chaos_seed = Guard.Chaos.seed_from_env ~default:20260808L ()
 let gen salt = Prng.Splitmix.create (Int64.add chaos_seed salt)
@@ -172,6 +174,85 @@ let test_horizon_shared_identical () =
   ignore (stats_consistent "horizon shared" m : Sched.Memo.stats)
 
 (* ------------------------------------------------------------------ *)
+(* Publication: only exact work reaches the store                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_tripped_search_private () =
+  (* a search a budget stops, serial or pooled, publishes nothing, so it
+     cannot evict other searches' entries; the same search run to the
+     end then publishes and answers exactly as an unshared one, pooled
+     branches included *)
+  let g = gen 17L in
+  let a = random_load g in
+  let base = Sched.Optimal.search ~n_batteries:2 disc a in
+  let m = Sched.Memo.create ~capacity:200_000 () in
+  let tripped ?pool what =
+    let budget = Guard.Budget.create ~max_segments:200 () in
+    let r =
+      Sched.Optimal.search ?pool ~budget ~shared:m ~n_batteries:2 disc a
+    in
+    (match r.Sched.Optimal.status with
+    | Sched.Optimal.Budget_exhausted _ -> ()
+    | Sched.Optimal.Optimal ->
+        Alcotest.failf "%s: the budget never tripped" what);
+    check_int (what ^ ": entries published") 0 (Sched.Memo.entries m)
+  in
+  tripped "serial tripped search";
+  Exec.Pool.with_pool ~domains:2 (fun pool ->
+      tripped ~pool "pooled tripped search";
+      let r = Sched.Optimal.search ~pool ~shared:m ~n_batteries:2 disc a in
+      check_same_result "pooled exact search" base r);
+  let pooled = Sched.Memo.entries m in
+  if pooled = 0 then Alcotest.fail "the pooled exact search published nothing";
+  let r = Sched.Optimal.search ~shared:m ~n_batteries:2 disc a in
+  check_same_result "serial search, warm" base r;
+  let m2 = Sched.Memo.create ~capacity:200_000 () in
+  let r = Sched.Optimal.search ~shared:m2 ~n_batteries:2 disc a in
+  check_same_result "serial search, cold" base r;
+  if Sched.Memo.entries m2 = 0 then
+    Alcotest.fail "the serial exact search published nothing";
+  ignore (stats_consistent "publication" m : Sched.Memo.stats)
+
+let test_tripped_plan_private () =
+  (* a plan a budget stops keeps its entries private; a completed plan
+     publishes them and chooses as an unshared planner does *)
+  let g = gen 18L in
+  let a = random_load g in
+  let cursor = Loads.Cursor.make a in
+  let y =
+    let rec first y =
+      if Loads.Cursor.is_idle cursor y then first (y + 1) else y
+    in
+    first 0
+  in
+  (* the whole suffix: the budget trips deep in a tree whose completed
+     subtrees have already stored their values *)
+  let frontier_epoch = Loads.Cursor.epoch_count cursor in
+  let m = Sched.Memo.create ~capacity:100_000 () in
+  let scope = Sched.Memo.scope m ~fingerprint:"plan-test" in
+  let plan ?budget ?shared () =
+    Sched.Optimal.plan ?budget
+      (Sched.Optimal.planner ?shared disc cursor)
+      ~frontier_epoch ~y ~local:0
+      (Sched.Bank.create ~n_batteries:2 disc)
+  in
+  (match
+     plan ~budget:(Guard.Budget.create ~max_segments:200 ()) ~shared:scope ()
+   with
+  | None -> ()
+  | Some _ -> Alcotest.fail "a 200-segment budget did not trip the plan");
+  check_int "entries after a tripped plan" 0 (Sched.Memo.entries m);
+  match (plan (), plan ~shared:scope ()) with
+  | Some base, Some shared ->
+      check_int "plan choice" base.Sched.Optimal.plan_choice
+        shared.Sched.Optimal.plan_choice;
+      check_int "plan value" base.Sched.Optimal.plan_value
+        shared.Sched.Optimal.plan_value;
+      if Sched.Memo.entries m = 0 then
+        Alcotest.fail "the completed plan published nothing"
+  | _ -> Alcotest.fail "an unbudgeted plan returned None"
+
+(* ------------------------------------------------------------------ *)
 (* Concurrency                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -254,6 +335,13 @@ let () =
             test_eviction_thrash_identical;
           Alcotest.test_case "horizon policy identical with shared scope"
             `Quick test_horizon_shared_identical;
+        ] );
+      ( "publication",
+        [
+          Alcotest.test_case "tripped searches publish nothing" `Quick
+            test_tripped_search_private;
+          Alcotest.test_case "tripped plans publish nothing" `Quick
+            test_tripped_plan_private;
         ] );
       ( "concurrency",
         [

@@ -190,6 +190,148 @@ let test_bank_serve_conservation () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Flat bank: the layout round-trips, copies are independent, and the  *)
+(* packed memo key equals the tuple-sorted one                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A bank of 1-6 batteries drawn from a pool of three states, so equal
+   (n, m, clock) blocks, alive and dead, are common. *)
+let random_parts g =
+  let big = disc.Dkibam.Discretization.n_units in
+  let pool =
+    Array.init 3 (fun _ ->
+        let n = Prng.Splitmix.int g (big + 1) in
+        let m = Prng.Splitmix.int g (big - n + 1) in
+        Dkibam.Battery.make disc ~n_gamma:n ~m_delta:m
+          ~recov_clock:(Prng.Splitmix.int g 50))
+  in
+  let size = 1 + Prng.Splitmix.int g 6 in
+  ( Array.init size (fun _ -> pool.(Prng.Splitmix.int g 3)),
+    Array.init size (fun _ -> Prng.Splitmix.int g 3 = 0) )
+
+(* The memo key as the search built it before the flat bank: [y; local],
+   then the (n, m, clock, dead) tuples sorted by polymorphic [compare].
+   Checkpoints and shared-memo keys hold these bytes. *)
+let reference_key ~y ~local (batteries : Dkibam.Battery.t array) dead =
+  let cells =
+    Array.mapi
+      (fun i (b : Dkibam.Battery.t) ->
+        (b.n_gamma, b.m_delta, b.recov_clock, dead.(i)))
+      batteries
+  in
+  Array.sort compare cells;
+  let key = Array.make (2 + (4 * Array.length cells)) 0 in
+  key.(0) <- y;
+  key.(1) <- local;
+  Array.iteri
+    (fun i (n, m, clock, d) ->
+      key.(2 + (4 * i)) <- n;
+      key.(3 + (4 * i)) <- m;
+      key.(4 + (4 * i)) <- clock;
+      key.(5 + (4 * i)) <- (if d then 1 else 0))
+    cells;
+  key
+
+let test_bank_key_matches_tuple_sort () =
+  let g = gen 7L in
+  let tied = ref 0 in
+  for round = 1 to 3000 do
+    let batteries, dead = random_parts g in
+    let bank = Sched.Bank.of_parts disc ~batteries ~dead in
+    let y = Prng.Splitmix.int g 1000 and local = Prng.Splitmix.int g 100 in
+    let expected = reference_key ~y ~local batteries dead in
+    let key = Sched.Bank.key bank ~head:2 in
+    key.(0) <- y;
+    key.(1) <- local;
+    if key <> expected then
+      failf "round %d: packed key [%s] <> tuple sort [%s]" round
+        (String.concat ";" (Array.to_list (Array.map string_of_int key)))
+        (String.concat ";" (Array.to_list (Array.map string_of_int expected)));
+    (* a longer head leaves its slots to the caller and shifts the
+       blocks, as the planner's frontier-prefixed key needs *)
+    let framed = Sched.Bank.key bank ~head:3 in
+    if
+      Array.sub framed 0 3 <> [| 0; 0; 0 |]
+      || Array.sub framed 3 (Array.length framed - 3)
+         <> Array.sub expected 2 (Array.length expected - 2)
+    then failf "round %d: head-3 key misplaces the blocks" round;
+    let n = Array.length batteries in
+    if
+      List.exists
+        (fun i ->
+          List.exists
+            (fun j -> Dkibam.Battery.equal batteries.(i) batteries.(j))
+            (List.init (n - i - 1) (fun k -> i + k + 1)))
+        (List.init n Fun.id)
+    then incr tied
+  done;
+  if !tied < 500 then failf "only %d of 3000 banks had equal blocks" !tied
+
+let check_bank what bank (batteries : Dkibam.Battery.t array) dead =
+  let n = Array.length batteries in
+  if Sched.Bank.size bank <> n then failf "%s: size" what;
+  Array.iteri
+    (fun i (b : Dkibam.Battery.t) ->
+      if
+        not
+          (Dkibam.Battery.equal (Sched.Bank.battery bank i) b
+          && Sched.Bank.n_gamma bank i = b.n_gamma
+          && Sched.Bank.m_delta bank i = b.m_delta
+          && Sched.Bank.recov_clock bank i = b.recov_clock
+          && Sched.Bank.is_dead bank i = dead.(i))
+      then failf "%s: battery %d does not round-trip" what i)
+    batteries;
+  if
+    not
+      (Array.for_all2 Dkibam.Battery.equal (Sched.Bank.snapshot bank) batteries)
+  then failf "%s: snapshot" what;
+  if
+    Sched.Bank.alive bank
+    <> List.filter (fun i -> not dead.(i)) (List.init n Fun.id)
+  then failf "%s: alive" what;
+  if Sched.Bank.any_alive bank <> Array.exists not dead then
+    failf "%s: any_alive" what;
+  if Sched.Bank.all_dead bank <> Array.for_all Fun.id dead then
+    failf "%s: all_dead" what;
+  if Sched.Bank.stranded bank <> Sched.Bank.stranded_units batteries then
+    failf "%s: stranded" what
+
+let test_bank_round_trip () =
+  let g = gen 8L in
+  for round = 1 to 500 do
+    let what = Printf.sprintf "round %d" round in
+    let batteries, dead = random_parts g in
+    let n = Array.length batteries in
+    let bank = Sched.Bank.of_parts disc ~batteries ~dead in
+    check_bank what bank batteries dead;
+    check_bank (what ^ " create")
+      (Sched.Bank.create ~initial:batteries ~n_batteries:n disc)
+      batteries (Array.make n false);
+    (* of_parts copied its inputs *)
+    let batteries' = Array.copy batteries and dead' = Array.copy dead in
+    batteries.(0) <- Dkibam.Battery.full disc;
+    dead.(0) <- not dead.(0);
+    check_bank (what ^ " after its inputs changed") bank batteries' dead';
+    (* a copy and its source share no state: change each, the other
+       holds *)
+    let c = Sched.Bank.copy bank in
+    let cur = 1 + Prng.Splitmix.int g 40 in
+    Sched.Bank.tick_all c (1 + Prng.Splitmix.int g 500);
+    List.iter
+      (fun b -> ignore (Sched.Bank.draw_from c b ~cur : bool))
+      (Sched.Bank.alive c);
+    check_bank (what ^ " source after its copy changed") bank batteries' dead';
+    let c_batteries = Sched.Bank.snapshot c
+    and c_dead = Array.init n (Sched.Bank.is_dead c) in
+    Sched.Bank.tick_all bank (1 + Prng.Splitmix.int g 500);
+    (match Sched.Bank.alive bank with
+    | b :: _ ->
+        ignore (Sched.Bank.draw_from bank b ~cur:(disc.n_units + 1) : bool)
+    | [] -> ());
+    check_bank (what ^ " copy after its source changed") c c_batteries c_dead
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Span kernel: one call per span equals the per-draw loop             *)
 (* ------------------------------------------------------------------ *)
 
@@ -451,6 +593,10 @@ let () =
           Alcotest.test_case "draw conservation + wells" `Quick
             test_bank_draw_conservation;
           Alcotest.test_case "serve conservation" `Quick test_bank_serve_conservation;
+          Alcotest.test_case "flat layout round-trips, copies independent"
+            `Quick test_bank_round_trip;
+          Alcotest.test_case "packed key = tuple sort" `Quick
+            test_bank_key_matches_tuple_sort;
         ] );
       ( "span kernel",
         [

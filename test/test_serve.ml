@@ -294,10 +294,22 @@ let test_spec_keys_exact () =
       | _ -> Alcotest.failf "compare lacks optimal_min: %s" (Obs.Json.to_string j))
     near_twins optima
 
+(* An int field of a [stats] response's [result.<section>]. *)
+let sub_int stats section field =
+  match
+    member_exn "result" stats |> Obs.Json.member section
+    |> Option.map (Obs.Json.member field)
+  with
+  | Some (Some (Obs.Json.Int v)) -> v
+  | _ -> Alcotest.failf "stats lacks %s.%s" section field
+
 (* A sub-kilobyte frame whose exact search has no useful end: 30 random
    250/500 mA jobs on three B1 cells.  Without a cap it held gigabytes
    of memo after minutes; under the daemon's positions cap it comes
-   back as a labelled anytime answer, and the daemon keeps serving. *)
+   back as a labelled anytime answer, and the daemon keeps serving.
+   The capped search keeps its memo entries private, so a warm load's
+   entries survive it: the shared memo neither grows nor evicts across
+   the frame, and a later search of the warm load hits it. *)
 let test_hostile_search_capped () =
   let spec =
     Loads.Spec.to_string (Loads.Random_load.intermitted ~seed:10L ~jobs:30 ())
@@ -306,6 +318,13 @@ let test_hostile_search_capped () =
   Fun.protect ~finally:(fun () -> finish r) @@ fun () ->
   let c = connect path in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let warm =
+    json_of
+      (request_exn c {|{"id":0,"op":"schedule","load":"cl_alt","n":2}|})
+  in
+  Alcotest.(check bool) "warm-up schedule exact" true
+    (is_ok warm && not (is_degraded warm));
+  let stats0 = json_of (request_exn c {|{"op":"stats"}|}) in
   let t0 = Unix.gettimeofday () in
   let j =
     json_of
@@ -320,8 +339,27 @@ let test_hostile_search_capped () =
   | Obs.Json.String "positions" -> ()
   | v -> Alcotest.failf "unexpected reason %s" (Obs.Json.to_string v));
   if took > 60.0 then Alcotest.failf "capped search took %.1f s" took;
-  let stats = json_of (request_exn c {|{"id":2,"op":"stats"}|}) in
-  Alcotest.(check bool) "stats answered after it" true (is_ok stats)
+  let stats1 = json_of (request_exn c {|{"id":2,"op":"stats"}|}) in
+  Alcotest.(check bool) "stats answered after it" true (is_ok stats1);
+  Alcotest.(check int) "capped search published no memo entries"
+    (sub_int stats0 "memo" "entries")
+    (sub_int stats1 "memo" "entries");
+  Alcotest.(check int) "capped search evicted no memo entries"
+    (sub_int stats0 "memo" "evictions")
+    (sub_int stats1 "memo" "evictions");
+  let j =
+    json_of (request_exn c {|{"id":3,"op":"compare","load":"cl_alt","n":2}|})
+  in
+  Alcotest.(check bool) "compare of the warm load exact" true
+    (is_ok j && not (is_degraded j));
+  let stats2 = json_of (request_exn c {|{"op":"stats"}|}) in
+  if sub_int stats2 "memo" "hits" <= sub_int stats1 "memo" "hits" then
+    Alcotest.failf "the warm load's search found no memo entry (hits %d -> %d)"
+      (sub_int stats1 "memo" "hits")
+      (sub_int stats2 "memo" "hits");
+  if sub_int stats2 "memo" "entries" >= sub_int stats2 "memo" "capacity" then
+    Alcotest.failf "memo at capacity (%d entries)"
+      (sub_int stats2 "memo" "entries")
 
 (* --- admission control: shed + overload degradation ------------------- *)
 
@@ -564,14 +602,6 @@ let counter_of stats name =
   with
   | Some (Some (Obs.Json.Int v)) -> v
   | _ -> 0
-
-let sub_int stats section field =
-  match
-    member_exn "result" stats |> Obs.Json.member section
-    |> Option.map (Obs.Json.member field)
-  with
-  | Some (Some (Obs.Json.Int v)) -> v
-  | _ -> Alcotest.failf "stats lacks %s.%s" section field
 
 (* Satellite: hammer a 2-worker daemon from 4 client domains and check
    the stats-op ledgers balance — no lost increments across the
