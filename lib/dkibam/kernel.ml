@@ -4,27 +4,35 @@
    only here — is what lets the batch engine promise bit-identical
    results: both paths call the same code, so they cannot drift.
 
-   Every function works in place on a [cell] and is written with loops
-   over local refs rather than inner closures: ocamlopt keeps such refs
-   in registers, so serving a span allocates nothing. *)
+   [serve] is the one loop: recovery and the use_charge edge are each
+   written once, inline, over local refs that ocamlopt keeps in
+   registers, so serving a span makes no call and allocates nothing.
+   [tick] and [draw] are its one-segment cases. *)
 
 type cell = { mutable n : int; mutable m : int; mutable clock : int }
 
-let tick (d : Discretization.t) c steps =
-  if steps < 0 then invalid_arg "Dkibam.Kernel.tick: negative step count";
-  (* Jump from recovery event to recovery event instead of stepping. *)
-  let recov = d.recov_time in
-  let k = ref steps and m = ref c.m and clock = ref c.clock in
-  while !k > 0 do
-    if !m < 2 then begin
-      clock := !clock + !k;
-      k := 0
-    end
-    else begin
-      (* an already-overdue recovery (possible for hand-built states)
-         fires on the next step, like a single tick *)
-      let due = recov.(!m) - !clock in
-      let due = if due < 1 then 1 else due in
+let serve (d : Discretization.t) c ~ct ~cur ~draws ~rest =
+  if ct < 0 || draws < 0 || rest < 0 then
+    invalid_arg "Dkibam.Kernel: negative step or draw count";
+  let recov = d.recov_time and c_n = d.c_milli and c_m = 1000 - d.c_milli in
+  let n = ref c.n and m = ref c.m and clock = ref c.clock in
+  (* Segments 1 .. draws are [ct] steps of recovery then a draw;
+     segment [draws + 1] is the trailing [rest], with no draw.  A fatal
+     draw ends the loop. *)
+  let fatal = ref 0 and seg = ref 1 in
+  while !fatal = 0 && !seg <= draws + 1 do
+    (* Recovery, jumping from recovery event to recovery event: none is
+       due below m = 2, and an already-overdue one (possible for
+       hand-built states) fires on the next step, like a single tick. *)
+    let k = ref (if !seg <= draws then ct else rest) in
+    while !k > 0 do
+      let due =
+        if !m < 2 then !k + 1
+        else begin
+          let due = recov.(!m) - !clock in
+          if due < 1 then 1 else due
+        end
+      in
       if due > !k then begin
         clock := !clock + !k;
         k := 0
@@ -34,48 +42,38 @@ let tick (d : Discretization.t) c steps =
         m := !m - 1;
         clock := 0
       end
-    end
-  done;
-  c.m <- !m;
-  c.clock <- !clock
-
-let draw (d : Discretization.t) c ~cur =
-  (* The use_charge edge: the recovery clock resets exactly when
-     recovery was not already running (m <= 1 before the draw), and an
-     already-due recovery fires immediately afterwards — the recov_time
-     table shrinks as m grows, so the invariant c_recov <= recov_time[m]
-     can be violated by the jump and must be re-established at the same
-     instant.  A single firing resets the clock to 0 < recov_time[m'],
-     so one pass suffices. *)
-  let clock = if c.m <= 1 then 0 else c.clock in
-  let m = c.m + cur in
-  let fires = m >= 2 && clock >= d.recov_time.(m) in
-  c.n <- c.n - cur;
-  if fires then begin
-    c.m <- m - 1;
-    c.clock <- 0
-  end
-  else begin
-    c.m <- m;
-    c.clock <- clock
-  end
-
-let serve (d : Discretization.t) c ~ct ~cur ~draws ~rest =
-  (* [draws] times: [ct] steps of recovery, then the draw — fatal when
-     the battery lacks the units (state left as ticked) or is empty by
-     eq. (8) right after it; a completed span then recovers [rest]. *)
-  let fatal = ref 0 and i = ref 1 in
-  while !fatal = 0 && !i <= draws do
-    tick d c ct;
-    if c.n < cur then fatal := !i
-    else begin
-      draw d c ~cur;
-      if Discretization.is_empty d ~n:c.n ~m:c.m then fatal := !i
+    done;
+    if !seg <= draws then begin
+      if !n < cur then fatal := !seg
+      else begin
+        (* The use_charge edge: the recovery clock resets exactly when
+           recovery was not already running (m <= 1 before the draw),
+           and an already-due recovery fires at the same instant — the
+           recov_time table shrinks as m grows, so the jump can break
+           the invariant c_recov <= recov_time[m].  A single firing
+           resets the clock to 0 < recov_time[m'], so one pass
+           suffices. *)
+        let ck = if !m <= 1 then 0 else !clock in
+        n := !n - cur;
+        m := !m + cur;
+        if !m >= 2 && ck >= recov.(!m) then begin
+          m := !m - 1;
+          clock := 0
+        end
+        else clock := ck;
+        (* eq. (8), Discretization.is_empty written out (see the .mli) *)
+        if c_m * !m >= c_n * !n then fatal := !seg
+      end
     end;
-    incr i
+    incr seg
   done;
-  if !fatal = 0 then tick d c rest;
+  c.n <- !n;
+  c.m <- !m;
+  c.clock <- !clock;
   !fatal
+
+let tick d c steps = ignore (serve d c ~ct:0 ~cur:0 ~draws:0 ~rest:steps)
+let draw d c ~cur = ignore (serve d c ~ct:0 ~cur ~draws:1 ~rest:0)
 
 let elapsed ~ct ~draws ~rest fatal =
   if fatal = 0 then (draws * ct) + rest else fatal * ct

@@ -37,27 +37,64 @@ let check_compatible t ~time_step ~charge_unit =
          "Loads.Arrays: load encoded for T=%g Gamma=%g replayed at T=%g           Gamma=%g"
          t.time_step t.charge_unit time_step charge_unit)
 
-(* Smallest exact fraction p/q = x with small q, via Stern-Brocot descent
-   over all of Q+; returns None when x is not such a fraction. *)
-let to_fraction ~max_den x =
-  let eps = 1e-9 in
-  if x <= 0.0 then None
+(* One step of the Stern-Brocot descent towards x, at [depth], with
+   mediant p/q: 1 moves the low bound up to p/q (it lies below x), -1
+   moves the high bound down, 0 stops on a match and 2 past a cap. *)
+let direction ~max_den ~x ~tol p q depth =
+  if depth > 100_000 || q > max_den then 2
   else begin
-    let rec go lo_p lo_q hi_p hi_q depth =
-      if depth > 100_000 then None
-      else begin
-        let p = lo_p + hi_p and q = lo_q + hi_q in
-        if q > max_den then None
-        else begin
-          let v = float_of_int p /. float_of_int q in
-          if Float.abs (v -. x) <= eps *. Float.max 1.0 x then Some (p, q)
-          else if v < x then go p q hi_p hi_q (depth + 1)
-          else go lo_p lo_q p q (depth + 1)
-        end
-      end
-    in
-    go 0 1 1 0 0
+    let v = float_of_int p /. float_of_int q in
+    if Float.abs (v -. x) <= tol then 0 else if v < x then 1 else -1
   end
+
+(* A run of [way] steps from mediant p/q at [depth]: the j-th step's
+   mediant is (p + j dp) / (q + j dq), at depth + j.  Along a run the
+   mediants, their denominators and their depths all move
+   monotonically, so "step j goes [way]" holds for a prefix of the
+   run; given that step 0 does, an exponential then binary search
+   finds the least j >= 1 where it fails, in O(log j) steps. *)
+let run_length ~max_den ~x ~tol p q dp dq depth way =
+  let hi = ref 1 in
+  while direction ~max_den ~x ~tol (p + (!hi * dp)) (q + (!hi * dq)) (depth + !hi) = way do
+    hi := 2 * !hi
+  done;
+  let lo = ref (!hi / 2) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if direction ~max_den ~x ~tol (p + (mid * dp)) (q + (mid * dq)) (depth + mid) = way
+    then lo := mid
+    else hi := mid
+  done;
+  !hi
+
+(* Smallest exact fraction p/q = x with q <= max_den, via Stern-Brocot
+   descent over all of Q+, at most 100,000 steps deep; None when x is
+   not such a fraction.  [run] counts the steps already taken in the
+   current direction (up positive, down negative); once a run is 8
+   steps long, the rest of it is jumped whole.  The path, and so the
+   answer, is the step-by-step descent's. *)
+let to_fraction ~max_den x =
+  let tol = 1e-9 *. Float.max 1.0 x in
+  let rec go lo_p lo_q hi_p hi_q depth run =
+    let p = lo_p + hi_p and q = lo_q + hi_q in
+    match direction ~max_den ~x ~tol p q depth with
+    | 0 -> Some (p, q)
+    | 1 ->
+        let j =
+          if run < 8 then 1 else run_length ~max_den ~x ~tol p q hi_p hi_q depth 1
+        in
+        go (lo_p + (j * hi_p)) (lo_q + (j * hi_q)) hi_p hi_q (depth + j)
+          ((if run > 0 then run else 0) + j)
+    | -1 ->
+        let j =
+          if run > -8 then 1
+          else run_length ~max_den ~x ~tol p q lo_p lo_q depth (-1)
+        in
+        go lo_p lo_q (hi_p + (j * lo_p)) (hi_q + (j * lo_q)) (depth + j)
+          ((if run < 0 then run else 0) - j)
+    | _ -> None
+  in
+  if x <= 0.0 then None else go 0 1 1 0 0 0
 
 let round_steps ~time_step duration =
   let steps_f = duration /. time_step in

@@ -27,11 +27,23 @@ exception Not_representable of string
     [cur/cur_times] encoding, or an epoch boundary does not fall on the
     time grid (within 1e-6 of a step). *)
 
+val to_fraction : max_den:int -> float -> (int * int) option
+(** [to_fraction ~max_den x]: the first fraction [p/q] on [x]'s
+    Stern–Brocot path that lies within [1e-9 · max 1 x] of [x], or
+    [None] when [x <= 0], when the path reaches a denominator above
+    [max_den] first, or when it is more than 100,000 steps deep.
+    A run of more than eight same-direction steps is jumped by an
+    exponential then binary search, so it costs O(log r) mediants
+    instead of its [r] (descending to [1/10_000] takes a few dozen,
+    not 9,999); the path, and so the answer, is the step-by-step
+    descent's.  {!make} encodes each job's [I·T/Γ] with
+    [max_den = 10_000]. *)
+
 val make : time_step:float -> charge_unit:float -> Epoch.t -> t
 (** [make ~time_step ~charge_unit load] encodes [load].  The ratio
     [I·T/Γ] of each job is converted to the smallest exact fraction
-    [cur/cur_times] with [cur_times <= 10_000] (continued-fraction
-    expansion); idle epochs get [cur = 0] and [cur_times] equal to the
+    [cur/cur_times] with [cur_times <= 10_000] ({!to_fraction});
+    idle epochs get [cur = 0] and [cur_times] equal to the
     epoch length.  Raises {!Not_representable} when exactness is
     impossible. *)
 

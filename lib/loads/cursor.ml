@@ -1,10 +1,19 @@
 type schedule = { ct : int; cur : int; draws : int; rest : int }
 
+type compiled = {
+  c_starts : int array;
+  c_lens : int array;
+  c_ct : int array;
+  c_cur : int array;
+  c_draws : int array;
+  c_rest : int array;
+  c_total : int;
+}
+
 type t = {
   arrays : Arrays.t;
-  starts : int array;  (* absolute step of each epoch's first step *)
-  lens : int array;  (* epoch lengths in steps *)
-  scheds : schedule array;  (* full-epoch schedules *)
+  flat : compiled;  (* the full-epoch schedules, unchecked *)
+  scheds : schedule array;  (* the same, as records *)
   units_after : int array;  (* draw units in epochs y+1 .. end *)
   jobs : int;  (* number of non-idle epochs *)
 }
@@ -19,40 +28,54 @@ let span_schedule ~ct ~cur ~skip_final span =
     { ct; cur; draws; rest = span - (draws * ct) }
   end
 
-let make (arrays : Arrays.t) =
-  let n = Arrays.epoch_count arrays in
-  let starts = Array.make n 0
-  and lens = Array.make n 0
-  and units_after = Array.make (n + 1) 0 in
-  let jobs = ref 0 in
+(* The full-epoch schedules in one pass over the encoding:
+   [span_schedule ~skip_final:false] of every epoch, written out so no
+   record is built.  [c_ct] and [c_cur] are the encoding's own arrays. *)
+let flatten (a : Arrays.t) =
+  let n = Arrays.epoch_count a in
+  let c_starts = Array.make n 0 and c_lens = Array.make n 0 in
+  let c_draws = Array.make n 0 and c_rest = Array.make n 0 in
   for y = 0 to n - 1 do
-    starts.(y) <- (if y = 0 then 0 else arrays.load_time.(y - 1));
-    lens.(y) <- arrays.load_time.(y) - starts.(y);
-    if arrays.cur.(y) > 0 then incr jobs
+    let start = if y = 0 then 0 else a.load_time.(y - 1) in
+    let len = a.load_time.(y) - start and ct = a.cur_times.(y) in
+    let draws = if a.cur.(y) = 0 then 0 else len / ct in
+    c_starts.(y) <- start;
+    c_lens.(y) <- len;
+    c_draws.(y) <- draws;
+    c_rest.(y) <- len - (draws * ct)
   done;
+  {
+    c_starts;
+    c_lens;
+    c_ct = a.cur_times;
+    c_cur = a.cur;
+    c_draws;
+    c_rest;
+    c_total = (if n = 0 then 0 else a.load_time.(n - 1));
+  }
+
+let make (arrays : Arrays.t) =
+  let flat = flatten arrays in
+  let n = Array.length flat.c_lens in
   let scheds =
     Array.init n (fun y ->
         span_schedule ~ct:arrays.cur_times.(y) ~cur:arrays.cur.(y)
-          ~skip_final:false lens.(y))
+          ~skip_final:false flat.c_lens.(y))
   in
-  for y = n - 1 downto 0 do
-    units_after.(y) <- units_after.(y + 1) + (scheds.(y).draws * scheds.(y).cur)
+  let units_after = Array.make (n + 1) 0 in
+  for y = n - 2 downto 0 do
+    units_after.(y) <-
+      units_after.(y + 1) + (flat.c_draws.(y + 1) * flat.c_cur.(y + 1))
   done;
-  (* units_after.(y) currently includes epoch y itself; shift to a strict
-     suffix so [draw_units_after t y] is "after y". *)
-  let after = Array.init n (fun y -> units_after.(y + 1)) in
-  Array.blit after 0 units_after 0 n;
-  { arrays; starts; lens; scheds; units_after; jobs = !jobs }
+  let jobs = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 arrays.cur in
+  { arrays; flat; scheds; units_after; jobs }
 
 let arrays t = t.arrays
-let epoch_count t = Array.length t.starts
-let epoch_start t y = t.starts.(y)
+let epoch_count t = Array.length t.scheds
+let epoch_start t y = t.flat.c_starts.(y)
 let epoch_end t y = t.arrays.load_time.(y)
-let epoch_len t y = t.lens.(y)
-
-let total_steps t =
-  let n = epoch_count t in
-  if n = 0 then 0 else t.arrays.load_time.(n - 1)
+let epoch_len t y = t.flat.c_lens.(y)
+let total_steps t = t.flat.c_total
 
 let is_idle t y = t.arrays.cur.(y) = 0
 let job_count t = t.jobs
@@ -62,9 +85,9 @@ let schedule_from ?(skip_final = false) t y ~local =
   let s = t.scheds.(y) in
   if local = 0 && not skip_final then s
   else begin
-    if local < 0 || local > t.lens.(y) then
+    if local < 0 || local > epoch_len t y then
       invalid_arg "Loads.Cursor.schedule_from: offset outside the epoch";
-    span_schedule ~ct:s.ct ~cur:s.cur ~skip_final (t.lens.(y) - local)
+    span_schedule ~ct:s.ct ~cur:s.cur ~skip_final (epoch_len t y - local)
   end
 
 let max_draw_units_within t y ~steps =
@@ -77,16 +100,6 @@ let draw_units t y =
 
 let draw_units_after t y = t.units_after.(y)
 
-type compiled = {
-  c_starts : int array;
-  c_lens : int array;
-  c_ct : int array;
-  c_cur : int array;
-  c_draws : int array;
-  c_rest : int array;
-  c_total : int;
-}
-
 (* Headroom for every step counter a consumer can derive from a compiled
    schedule: absolute steps (<= c_total), per-epoch draw offsets
    (i * ct <= len) and per-epoch drawn units (draws * cur).  max_int / 4
@@ -94,8 +107,7 @@ type compiled = {
    arithmetic can never cross it. *)
 let max_compiled_steps = max_int / 4
 
-let compile t =
-  let n = epoch_count t in
+let check c =
   let err field value what =
     Error
       (Guard.Error.make ~subsystem:"loads.cursor" ~field
@@ -105,35 +117,26 @@ let compile t =
               max_compiled_steps)
          what)
   in
-  if total_steps t > max_compiled_steps then
-    err "load_time" (total_steps t)
+  if c.c_total > max_compiled_steps then
+    err "load_time" c.c_total
       "load too long: the flat schedule would overflow the int step counters"
   else begin
-    let overflowing = ref None in
-    for y = 0 to n - 1 do
-      let s = t.scheds.(y) in
-      if
-        !overflowing = None && s.cur > 0
-        && s.draws > max_compiled_steps / s.cur
-      then overflowing := Some y
+    let n = Array.length c.c_cur and y = ref 0 in
+    while
+      !y < n
+      && not (c.c_cur.(!y) > 0 && c.c_draws.(!y) > max_compiled_steps / c.c_cur.(!y))
+    do
+      incr y
     done;
-    match !overflowing with
-    | Some y ->
-        err "cur" t.scheds.(y).cur
-          (Printf.sprintf
-             "epoch %d: draws * cur would overflow the int unit counters" y)
-    | None ->
-        Ok
-          {
-            c_starts = Array.copy t.starts;
-            c_lens = Array.copy t.lens;
-            c_ct = Array.map (fun s -> s.ct) t.scheds;
-            c_cur = Array.map (fun s -> s.cur) t.scheds;
-            c_draws = Array.map (fun s -> s.draws) t.scheds;
-            c_rest = Array.map (fun s -> s.rest) t.scheds;
-            c_total = total_steps t;
-          }
+    if !y < n then
+      err "cur" c.c_cur.(!y)
+        (Printf.sprintf
+           "epoch %d: draws * cur would overflow the int unit counters" !y)
+    else Ok c
   end
+
+let compile_arrays a = check (flatten a)
+let compile t = check t.flat
 
 let compile_exn t =
   match compile t with Ok c -> c | Error e -> Guard.Error.raise_exn e
@@ -167,7 +170,7 @@ let step t { y; i } =
       if i <= 2 * s.draws then (i + 1) / 2 * s.ct
       else (s.draws * s.ct) + s.rest
     in
-    t.starts.(y) + within
+    epoch_start t y + within
   end
 
 let epoch _t { y; _ } = y

@@ -99,8 +99,10 @@ val draw_units_after : t -> int -> int
     parallel [int array]s — the read-only load layout the
     struct-of-arrays batch engine ([Batch.Engine]) iterates with unsafe
     accesses.  The cursor itself stays the scalar path's iterator; a
-    compiled view adds nothing to the semantics, it only flattens what
-    {!schedule} already computed. *)
+    compiled view adds nothing to the semantics: entry [y] holds the
+    fields of [schedule t y] (see {!schedule}).  The arrays are shared,
+    never copied — [c_ct] and [c_cur] are the encoding's own
+    [cur_times] and [cur] — so treat them as read-only. *)
 
 type compiled = private {
   c_starts : int array;  (** absolute step of each epoch's first step *)
@@ -118,13 +120,19 @@ val max_compiled_steps : int
     per-epoch drawn units all stay below it, so consumers can add and
     multiply them without a silent wrap. *)
 
+val compile_arrays : Arrays.t -> (compiled, Guard.Error.t) result
+(** [compile_arrays a] is [compile (make a)] without the cursor: one
+    pass over the encoding fills the six arrays, so a batch consumer
+    that never iterates the load ([Sched.Simulator.run_batch]) does not
+    build a {!t} only to flatten it. *)
+
 val compile : t -> (compiled, Guard.Error.t) result
-(** [compile t] flattens the precomputed schedules.  Loads whose total
-    step count exceeds {!max_compiled_steps}, or whose per-epoch
-    [draws * cur] product would overflow it, are rejected with a
-    structured error instead of wrapping — batch consumers either get
-    arrays they can trust or a {!Guard.Error.t} naming the offending
-    field. *)
+(** [compile t]: the cursor's own flat schedules, checked.  Loads
+    whose total step count exceeds {!max_compiled_steps}, or whose
+    per-epoch [draws * cur] product would overflow it, are rejected
+    with a structured error instead of wrapping — batch consumers
+    either get arrays they can trust or a {!Guard.Error.t} naming the
+    offending field. *)
 
 val compile_exn : t -> compiled
 (** [compile] or raise {!Guard.Error.Error}. *)

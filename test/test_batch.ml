@@ -209,6 +209,76 @@ let test_no_batch_env () =
   in
   if fallback <> reference then failf "BATSCHED_NO_BATCH changed a result"
 
+(* Each distinct load is compiled once, found again by physical
+   identity: shuffled requests over many loads, several lanes on each
+   physically shared load, two structurally equal but physically
+   distinct loads, Custom lanes and a load the compile guard refuses
+   mixed in.  Every slot must hold its own request's simulate result,
+   and the engine must have run every batchable lane. *)
+let test_load_dedup () =
+  let g = gen 6L in
+  let disc = Dkibam.Discretization.paper_b1 in
+  let twin = random_load g ~jobs:6 in
+  let twin_a = enc twin and twin_b = enc twin in
+  if twin_a <> twin_b || twin_a == twin_b then failf "twins are not twins";
+  (* one job, then an idle past the compiled step-counter ceiling *)
+  let refused =
+    Loads.Arrays.of_arrays ~time_step:0.01 ~charge_unit:0.01
+      ~load_time:[| 500; Loads.Cursor.max_compiled_steps + 1 |]
+      ~cur_times:[| 1; 1 |] ~cur:[| 1; 0 |]
+  in
+  let loads =
+    Array.append
+      [| twin_a; twin_b; refused |]
+      (Array.init 40 (fun _ -> enc (random_load g ~jobs:(3 + Prng.Splitmix.int g 8))))
+  in
+  let custom = Sched.Policy.Custom (fun ctx -> List.hd ctx.alive) in
+  let requests =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun a ->
+              Array.init (2 + Prng.Splitmix.int g 3) (fun _ ->
+                  let policy =
+                    if Prng.Splitmix.int g 6 = 0 then custom
+                    else snd (List.nth policies (Prng.Splitmix.int g (List.length policies)))
+                  in
+                  { Sched.Simulator.req_load = a; req_policy = policy }))
+            loads))
+  in
+  let n = Array.length requests in
+  for i = n - 1 downto 1 do
+    let j = Prng.Splitmix.int g (i + 1) in
+    let t = requests.(i) in
+    requests.(i) <- requests.(j);
+    requests.(j) <- t
+  done;
+  let batchable =
+    Array.fold_left
+      (fun k (r : Sched.Simulator.batch_request) ->
+        match r.req_policy with
+        | Sched.Policy.Custom _ -> k
+        | _ -> if r.req_load == refused then k else k + 1)
+      0 requests
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let batched =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Sched.Simulator.run_batch ~batch:true ~chunk:16 ~n_batteries:2 disc requests)
+  in
+  let lanes = Obs.counter_value (Obs.snapshot ()) "batch.lanes" in
+  Obs.reset ();
+  if lanes <> batchable then
+    failf "batch.lanes counted %d lanes, %d are batchable" lanes batchable;
+  let scalar = Sched.Simulator.run_batch ~batch:false ~n_batteries:2 disc requests in
+  Array.iteri
+    (fun i (b : Sched.Simulator.batch_result) ->
+      if scalar_result ~n_batteries:2 disc requests.(i) <> (b.res_lifetime_steps, b.res_stranded)
+      then failf "dedup lane %d diverges from simulate" i;
+      if scalar.(i) <> b then failf "dedup lane %d: batch:false differs" i)
+    batched
+
 (* ------------------------------------------------------------------ *)
 (* Lane-permutation invariance                                         *)
 (* ------------------------------------------------------------------ *)
@@ -279,6 +349,8 @@ let () =
             test_mixed_custom_fallback;
           Alcotest.test_case "BATSCHED_NO_BATCH fallback identical" `Quick
             test_no_batch_env;
+          Alcotest.test_case "loads deduplicated by identity" `Quick
+            test_load_dedup;
         ] );
       ( "properties",
         [

@@ -325,7 +325,13 @@ let test_cursor_compile_overflow_boundary () =
     Loads.Arrays.of_arrays ~time_step:0.01 ~charge_unit:0.01
       ~load_time:[| len |] ~cur_times:[| 1 |] ~cur:[| cur |]
   in
-  let compile a = Loads.Cursor.compile (Loads.Cursor.make a) in
+  (* the cursor path and the direct path must agree, errors included *)
+  let compile a =
+    let via_cursor = Loads.Cursor.compile (Loads.Cursor.make a) in
+    if via_cursor <> Loads.Cursor.compile_arrays a then
+      Alcotest.fail "compile_arrays differs from compile (make a)";
+    via_cursor
+  in
   (* exactly at the limit: accepted, and the totals survive intact *)
   (match compile (idle_of_len limit) with
   | Ok c -> check_int "boundary total" limit c.Loads.Cursor.c_total
@@ -348,6 +354,152 @@ let test_cursor_compile_overflow_boundary () =
   | Error e ->
       Alcotest.(check string) "subsystem" "loads.cursor" e.Guard.Error.subsystem;
       Alcotest.(check (option string)) "field" (Some "cur") e.Guard.Error.field
+
+(* A compiled load holds, at entry [y], the fields of the cursor's
+   schedule of epoch [y]: on the ten test loads and on random hand-built
+   encodings whose idle epochs carry arbitrary cadences. *)
+let test_compile_arrays_matches_schedules () =
+  let g = Random.State.make [| 19 |] in
+  let random_arrays () =
+    let n = 1 + Random.State.int g 30 in
+    let clock = ref 0 in
+    let load_time =
+      Array.init n (fun _ ->
+          clock := !clock + 1 + Random.State.int g 500;
+          !clock)
+    in
+    Loads.Arrays.of_arrays ~time_step:0.01 ~charge_unit:0.01 ~load_time
+      ~cur_times:(Array.init n (fun _ -> 1 + Random.State.int g 90))
+      ~cur:
+        (Array.init n (fun _ ->
+             if Random.State.int g 3 = 0 then 0 else 1 + Random.State.int g 9))
+  in
+  let check a =
+    let t = Loads.Cursor.make a in
+    match Loads.Cursor.compile_arrays a with
+    | Error e -> Alcotest.failf "refused: %s" (Guard.Error.to_string e)
+    | Ok c ->
+        let n = Loads.Cursor.epoch_count t in
+        check_int "epochs" n (Array.length c.Loads.Cursor.c_lens);
+        check_int "total" (Loads.Cursor.total_steps t) c.c_total;
+        for y = 0 to n - 1 do
+          let s = Loads.Cursor.schedule t y in
+          if
+            c.c_starts.(y) <> Loads.Cursor.epoch_start t y
+            || c.c_lens.(y) <> Loads.Cursor.epoch_len t y
+            || c.c_ct.(y) <> s.ct || c.c_cur.(y) <> s.cur
+            || c.c_draws.(y) <> s.draws || c.c_rest.(y) <> s.rest
+          then Alcotest.failf "epoch %d of %d differs from the cursor" y n
+        done
+  in
+  List.iter (fun name -> check (paper_enc (Loads.Testloads.load name)))
+    Loads.Testloads.all_names;
+  for _ = 1 to 500 do
+    check (random_arrays ())
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Exact fractions: the jumping descent = the step-by-step descent     *)
+(* ------------------------------------------------------------------ *)
+
+(* The Stern-Brocot descent as it stood before runs were jumped: one
+   mediant per step.  The reference [Loads.Arrays.to_fraction] must
+   reproduce, cap edges included. *)
+let reference_to_fraction ~max_den x =
+  let eps = 1e-9 in
+  if x <= 0.0 then None
+  else begin
+    let rec go lo_p lo_q hi_p hi_q depth =
+      if depth > 100_000 then None
+      else begin
+        let p = lo_p + hi_p and q = lo_q + hi_q in
+        if q > max_den then None
+        else begin
+          let v = float_of_int p /. float_of_int q in
+          if Float.abs (v -. x) <= eps *. Float.max 1.0 x then Some (p, q)
+          else if v < x then go p q hi_p hi_q (depth + 1)
+          else go lo_p lo_q p q (depth + 1)
+        end
+      end
+    in
+    go 0 1 1 0 0
+  end
+
+let test_fraction_differential () =
+  let seed = Guard.Chaos.seed_from_env ~default:20261019L () in
+  Printf.printf "test_loads: CHAOS_SEED=%Ld (fractions)\n%!" seed;
+  let st = Random.State.make [| Int64.to_int seed; 19 |] in
+  let found = ref 0 and none = ref 0 in
+  let check ~max_den x =
+    let want = reference_to_fraction ~max_den x in
+    let got = Loads.Arrays.to_fraction ~max_den x in
+    if got <> want then begin
+      let show = function
+        | Some (p, q) -> Printf.sprintf "%d/%d" p q
+        | None -> "None"
+      in
+      Alcotest.failf "[seed %Ld] to_fraction ~max_den:%d %h (%.17g): %s, \
+         step-by-step %s"
+        seed max_den x x (show got) (show want)
+    end;
+    if want = None then incr none else incr found
+  in
+  (* exact fractions p/q with q up to max_den, and near misses *)
+  for _ = 1 to 3_000 do
+    let max_den = 1 + Random.State.int st (if Random.State.bool st then 10_000 else 300) in
+    let q = 1 + Random.State.int st max_den in
+    let p = 1 + Random.State.int st (1 + Random.State.int st (20 * q)) in
+    let x = float_of_int p /. float_of_int q in
+    check ~max_den x;
+    check ~max_den (x *. (1.0 +. (1e-8 *. Random.State.float st 2.0)));
+    check ~max_den:(max 1 (q - 1)) x
+  done;
+  (* tiny and huge ratios, and arbitrary reals *)
+  for _ = 1 to 200 do
+    check ~max_den:10_000 (Float.pow 10.0 (-.Random.State.float st 12.0));
+    check ~max_den:10_000 (Float.pow 10.0 (Random.State.float st 12.0));
+    check ~max_den:10_000 (Random.State.float st 50.0)
+  done;
+  List.iter (fun x -> check ~max_den:10_000 x)
+    [ 0.0; -1.0; 1e-300; 1e300; Float.min_float; 1e-4; 1.0; 0.5 ];
+  (* The 100,000-step cap, around depths 99,989-100,010: straight up to
+     the integer k (depth k - 1), up then one or two turns (k + 1/2 and
+     k + 1/3), and straight down.  Below 1 the tolerance is 1e-9 while
+     the mediants 1/m lie about 1e-10 apart, so the descent down to
+     the midpoint of 1/k and 1/(k - 1), less 1e-9, first matches at
+     1/k (depth k - 1). *)
+  for k = 99_990 to 100_010 do
+    let x = float_of_int k in
+    let down = (0.5 *. ((1.0 /. x) +. (1.0 /. (x -. 1.0)))) -. 1e-9 in
+    let within = k - 1 <= 100_000 in
+    (* the cases sit on the cap: depth k - 1 is reached exactly *)
+    if reference_to_fraction ~max_den:10_000 x <> (if within then Some (k, 1) else None)
+       || reference_to_fraction ~max_den:200_000 down
+          <> if within then Some (1, k) else None
+    then Alcotest.failf "cap edge %d: not at depth %d" k (k - 1);
+    check ~max_den:10_000 x;
+    check ~max_den:10_000 (x +. 0.5);
+    check ~max_den:10_000 (x +. (1.0 /. 3.0));
+    check ~max_den:200_000 down
+  done;
+  if !found = 0 || !none = 0 then
+    Alcotest.failf "fraction cases not all reached (found %d, none %d)" !found
+      !none
+
+(* Many tiny currents encode fast and exactly: 5,000 jobs of 1e-4 A are
+   each 1/10,000, the deepest descent the encoding allows. *)
+let test_tiny_currents_encode () =
+  let a =
+    Loads.Arrays.make ~time_step:0.01 ~charge_unit:0.01
+      (Loads.Epoch.concat
+         (List.init 5_000 (fun _ -> Loads.Epoch.job ~current:0.0001 ~duration:1.0)))
+  in
+  check_int "epochs" 5_000 (Loads.Arrays.epoch_count a);
+  Array.iteri
+    (fun y cur ->
+      if cur <> 1 || a.cur_times.(y) <> 10_000 then
+        Alcotest.failf "epoch %d encodes %d/%d" y cur a.cur_times.(y))
+    a.cur
 
 (* ------------------------------------------------------------------ *)
 (* Test loads                                                          *)
@@ -675,6 +827,15 @@ let () =
             test_cursor_walk_matches_arrays;
           Alcotest.test_case "compile overflow boundary" `Quick
             test_cursor_compile_overflow_boundary;
+          Alcotest.test_case "compile_arrays = schedules" `Quick
+            test_compile_arrays_matches_schedules;
+        ] );
+      ( "fractions",
+        [
+          Alcotest.test_case "jumping descent = step-by-step" `Quick
+            test_fraction_differential;
+          Alcotest.test_case "tiny currents encode" `Quick
+            test_tiny_currents_encode;
         ] );
       ( "spec language",
         [

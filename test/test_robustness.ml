@@ -381,7 +381,30 @@ let ref_serve d cells dead ~b (sch : Loads.Cursor.schedule) =
   in
   go 1
 
+(* One battery serving [sch] by the per-draw loop: the 1-based index of
+   the fatal draw (0: the span completed) and the battery after it. *)
+let ref_span d cell (sch : Loads.Cursor.schedule) =
+  let rec go i cell =
+    if i > sch.draws then (0, ref_tick d cell sch.rest)
+    else begin
+      let ((n, _, _) as c) = ref_tick d cell sch.ct in
+      if n < sch.cur then (i, c)
+      else begin
+        let ((n', m', _) as c') = ref_draw d c sch.cur in
+        if Dkibam.Discretization.is_empty d ~n:n' ~m:m' then (i, c')
+        else go (i + 1) c'
+      end
+    end
+  in
+  go 1 cell
+
 let discs = [ ("B1", Dkibam.Discretization.paper_b1); ("B2", Dkibam.Discretization.paper_b2) ]
+
+(* The kernel suites add a coarse grid (T = 0.25 min, Gamma = 0.05
+   A*min, N = 110) on which eq. (6) rounds to 0 for m > 65, so
+   recov_time clamps to one step there. *)
+let coarse = Dkibam.Discretization.make ~time_step:0.25 ~charge_unit:0.05 Kibam.Params.b1
+let kernel_discs = discs @ [ ("coarse", coarse) ]
 
 (* A random battery state: [m <= N - n] keeps every draw inside the
    recovery table; the clock is sometimes past the recovery due at [m]
@@ -416,11 +439,98 @@ let random_schedule g : Loads.Cursor.schedule =
     rest = pick_zero (Prng.Splitmix.int g 60);
   }
 
+let cell_of (n, m, clock) = { Dkibam.Kernel.n; m; clock }
+let triple (c : Dkibam.Kernel.cell) = (c.n, c.m, c.clock)
+let show (n, m, clock) = Printf.sprintf "(%d, %d, %d)" n m clock
+
+(* The kernel's entry points called directly on battery [b]'s state:
+   [serve] (fatal index, cell and [elapsed]) against [ref_span], its
+   one-segment cases [tick] and [draw] against [ref_tick] and
+   [ref_draw], and [Bank.draw_from] (result, battery and dead flag). *)
+let check_entry_points label d cells dead ~b (sch : Loads.Cursor.schedule) ~k =
+  let start = cells.(b) in
+  let want_fatal, want = ref_span d start sch in
+  let c = cell_of start in
+  let fatal = Dkibam.Kernel.serve d c ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws ~rest:sch.rest in
+  if fatal <> want_fatal || triple c <> want then
+    failf "%s: Kernel.serve from %s gives draw %d and %s, per-draw loop %d and %s" label
+      (show start) fatal (show (triple c)) want_fatal (show want);
+  let steps = Dkibam.Kernel.elapsed ~ct:sch.ct ~draws:sch.draws ~rest:sch.rest fatal in
+  let want_steps =
+    if want_fatal = 0 then (sch.draws * sch.ct) + sch.rest else want_fatal * sch.ct
+  in
+  if steps <> want_steps then
+    failf "%s: Kernel.elapsed %d, per-draw loop %d" label steps want_steps;
+  let c = cell_of start in
+  Dkibam.Kernel.tick d c k;
+  if triple c <> ref_tick d start k then
+    failf "%s: Kernel.tick %d from %s gives %s, reference %s" label k (show start)
+      (show (triple c)) (show (ref_tick d start k));
+  let ((n, _, _) as ticked) = ref_tick d start sch.ct in
+  if n >= sch.cur then begin
+    let c = cell_of ticked in
+    Dkibam.Kernel.draw d c ~cur:sch.cur;
+    if triple c <> ref_draw d ticked sch.cur then
+      failf "%s: Kernel.draw %d from %s gives %s, reference %s" label sch.cur
+        (show ticked) (show (triple c)) (show (ref_draw d ticked sch.cur))
+  end;
+  let bank =
+    Sched.Bank.of_parts d
+      ~batteries:
+        (Array.map
+           (fun (n, m, clock) ->
+             Dkibam.Battery.make d ~n_gamma:n ~m_delta:m ~recov_clock:clock)
+           cells)
+      ~dead
+  in
+  let fatal = Sched.Bank.draw_from bank b ~cur:sch.cur in
+  let n, _, _ = start in
+  let want_fatal, want =
+    if n < sch.cur then (true, start)
+    else begin
+      let ((n', m', _) as c') = ref_draw d start sch.cur in
+      (Dkibam.Discretization.is_empty d ~n:n' ~m:m', c')
+    end
+  in
+  let got = Sched.Bank.(n_gamma bank b, m_delta bank b, recov_clock bank b) in
+  if fatal <> want_fatal || got <> want then
+    failf "%s: Bank.draw_from %d from %s gives %b and %s, reference %b and %s" label
+      sch.cur (show start) fatal (show got) want_fatal (show want);
+  if Sched.Bank.is_dead bank b <> (dead.(b) || want_fatal) then
+    failf "%s: Bank.draw_from leaves the dead flag wrong" label
+
+(* States on eq. (8)'s boundary right after one draw:
+   (1000 - c_milli) m = c_milli n exactly, so emptiness must hold with
+   equality.  The draw starts with the clock at 0, so no recovery fires
+   at its instant. *)
+let boundary_cases (d : Dkibam.Discretization.t) =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let g = gcd d.c_milli (1000 - d.c_milli) in
+  let un = (1000 - d.c_milli) / g and um = d.c_milli / g in
+  List.concat_map
+    (fun k ->
+      List.filter_map
+        (fun cur ->
+          let n = (un * k) + cur and m = (um * k) - cur in
+          if m < 0 || n + m > d.n_units then None else Some ((n, m, 0), cur))
+        [ 1; 2; 5 ])
+    (List.init (d.n_units / (un + um)) (fun k -> k + 1))
+
 let test_span_matches_per_draw () =
   let g = gen 6L in
   let fatal_short = ref 0 and fatal_empty = ref 0 and completed = ref 0 in
+  let on_boundary = ref 0 in
   List.iter
     (fun (dname, d) ->
+      List.iter
+        (fun (state, cur) ->
+          let sch = { Loads.Cursor.ct = 0; cur; draws = 1 + Prng.Splitmix.int g 3; rest = 7 } in
+          let label = Printf.sprintf "%s eq. (8) boundary %s, cur %d" dname (show state) cur in
+          if fst (ref_span d state sch) <> 1 then
+            failf "%s: the reference does not die on the boundary" label;
+          check_entry_points label d [| state |] [| false |] ~b:0 sch ~k:3;
+          incr on_boundary)
+        (boundary_cases d);
       for round = 1 to 1500 do
         let size = 1 + Prng.Splitmix.int g 6 in
         let cells = Array.init size (fun _ -> random_state g d) in
@@ -443,6 +553,7 @@ let test_span_matches_per_draw () =
           Printf.sprintf "%s round %d (%d batteries, b=%d, ct=%d cur=%d draws=%d rest=%d)"
             dname round size b sch.ct sch.cur sch.draws sch.rest
         in
+        check_entry_points label d cells dead ~b sch ~k:(Prng.Splitmix.int g 400);
         if got <> expected then failf "%s: outcome differs from the per-draw loop" label;
         (match expected with
         | Sched.Bank.Completed -> incr completed
@@ -463,12 +574,32 @@ let test_span_matches_per_draw () =
               failf "%s: battery %d dead flag differs" label i)
           ref_cells
       done)
-    discs;
+    kernel_discs;
   (* the generator must reach every ending: completion, the lacking-units
-     fatal draw and the eq. (8) fatal draw *)
-  if !completed = 0 || !fatal_short = 0 || !fatal_empty = 0 then
-    failf "span cases not all reached (completed %d, short %d, empty %d)"
-      !completed !fatal_short !fatal_empty
+     fatal draw and the eq. (8) fatal draw, on its boundary too *)
+  if !completed = 0 || !fatal_short = 0 || !fatal_empty = 0 || !on_boundary = 0 then
+    failf "span cases not all reached (completed %d, short %d, empty %d, boundary %d)"
+      !completed !fatal_short !fatal_empty !on_boundary
+
+let test_negative_counts_refused () =
+  let d = Dkibam.Discretization.paper_b1 in
+  let refused what f =
+    let c = { Dkibam.Kernel.n = 550; m = 10; clock = 3 } in
+    match f c with
+    | () -> failf "%s accepted" what
+    | exception Invalid_argument _ ->
+        if c <> { Dkibam.Kernel.n = 550; m = 10; clock = 3 } then
+          failf "%s changed the cell before refusing" what
+  in
+  let serve ~ct ~draws ~rest c =
+    ignore (Dkibam.Kernel.serve d c ~ct ~cur:1 ~draws ~rest)
+  in
+  refused "serve ~ct:(-1)" (serve ~ct:(-1) ~draws:2 ~rest:0);
+  refused "serve ~ct:(-1) ~draws:0" (serve ~ct:(-1) ~draws:0 ~rest:0);
+  refused "serve ~rest:(-1)" (serve ~ct:1 ~draws:2 ~rest:(-1));
+  refused "serve ~draws:(-1)" (serve ~ct:1 ~draws:(-1) ~rest:0);
+  refused "tick (-1)" (fun c -> Dkibam.Kernel.tick d c (-1));
+  refused "tick min_int" (fun c -> Dkibam.Kernel.tick d c min_int)
 
 let test_tick_composes () =
   let g = gen 7L in
@@ -490,7 +621,7 @@ let test_tick_composes () =
             dname round m clock a b split.m split.clock (a + b) whole.m whole.clock
             rm rclock
       done)
-    discs
+    kernel_discs
 
 let test_trace_same_run () =
   let g = gen 8L in
@@ -602,6 +733,8 @@ let () =
         [
           Alcotest.test_case "span = per-draw loop" `Quick
             test_span_matches_per_draw;
+          Alcotest.test_case "negative counts refused" `Quick
+            test_negative_counts_refused;
           Alcotest.test_case "tick composes" `Quick test_tick_composes;
           Alcotest.test_case "traced run = untraced run" `Quick
             test_trace_same_run;
