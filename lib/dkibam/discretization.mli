@@ -9,7 +9,68 @@
     Fractions such as the well parameter [c] are scaled by 1000 into
     integers so that every guard of the timed-automata model is exact
     integer arithmetic — e.g. the emptiness test (eq. (8)) becomes
-    [(1000 − c_milli)·m ≥ c_milli·n]. *)
+    [(1000 − c_milli)·m ≥ c_milli·n].
+
+    {2 The recovery timeline}
+
+    Idle, the height difference decays as δ(t) = δ₀·e^(−k′t), and
+    eq. (6) tabulates the time it takes to cross each unit of height
+    difference.  Its prefix sums
+
+    {[ C(m) = recov_time 2 + ... + recov_time m     (C(0) = C(1) = 0) ]}
+
+    are the discrete image of that decay: a battery at height
+    difference [m] whose recovery clock reads [clock] sits at the
+    point [T = C(m) − clock] of one timeline, and every recovery step
+    moves it one step towards 0, whatever [m] is — [k] steps take [T]
+    to [T − k].  [T ≤ 0] is [m = 1] with the clock at [−T].  The
+    inverse [M(T)], the [m] with [C(m − 1) < T ≤ C(m)] ([M(T) = 1] for
+    [T ≤ 0]), reads the state back: [m = M(T)], [clock = C(m) − T].
+
+    A draw of [cur] units lands on
+
+    {[ D_cur(T) = max (C(M(T) + cur) − (C(M(T)) − T)) (C(M(T) + cur − 1)) ]}
+
+    — the clock carried to [m + cur], or, when that clock is already
+    past [recov_time (m + cur)], the recovery that fires at the draw's
+    instant (the settle rule is exactly the [max]).  From [T ≤ 0] the
+    clock resets and a draw lands on [C(1 + cur)].
+
+    {!Kernel.serve} runs every engine on these tables: [C] and [M]
+    ({!val-timeline}) and one [D_cur] per tabulated [cur] ({!draw_table}),
+    which holds [M] of each landing point next to it, so that a draw
+    and its eq. (8) test read one pair of adjacent entries.  They are
+    built on first use and stored in 16 bits per entry (for B1,
+    [C(N)] = 5,197 steps, so [M] takes about 10 KiB and each [D_cur]
+    about 20 KiB).  They are published through the [timeline] field's
+    [Atomic], so domains that share a discretization ({!paper_b1},
+    {!paper_b2}) read them without a lock and build each one at most
+    once between them (under a lock).  A timeline longer than
+    {!timeline_cap} steps is never built: such a discretization (a
+    tiny [k′], say) keeps the event loop.  The tables are derived
+    data: they never enter a digest ({!fields}). *)
+
+type table = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** One timeline table, 2 bytes per entry. *)
+
+type timeline = private {
+  span : int;
+      (** [C(n_units)], the last point of the timeline; negative when
+          the timeline is past {!timeline_cap} (no tables) *)
+  c_of : table;  (** [C(m)] for [m = 0 .. n_units] *)
+  m_of : table;  (** [M(T)] for [T = 0 .. span] *)
+  draw : draw array;
+      (** [draw.(cur − 1)]: [D_cur] once {!draw_table} has built it,
+          {!no_table} before *)
+}
+(** The recovery timeline's tables (see above). *)
+
+and draw = private { d_cur : table }
+(** One [D_cur]: entry [2T] is the landing point [T' = D_cur(T)] and
+    entry [2T + 1] is [M(T')], for [T = 0 .. span]; both are [0] where
+    the draw would take [m] past [n_units].  A record rather than a
+    bare table, so that reading it out of [draw] needs no float-array
+    check. *)
 
 type t = private {
   params : Kibam.Params.t;
@@ -19,6 +80,9 @@ type t = private {
   c_milli : int;  (** round(1000·c) *)
   recov_time : int array;
       (** [recov_time.(m)], m ≥ 2; entries 0 and 1 are [infinite_time] *)
+  timeline : timeline Atomic.t;
+      (** the recovery timeline, once built: read it through {!val-timeline}
+          and {!draw_table} *)
 }
 
 val infinite_time : int
@@ -41,6 +105,38 @@ val recov_time : t -> int -> int
     difference [m]; {!infinite_time} for [m <= 1].  The table is sized
     [n_units + 1] — the height difference can never exceed the number of
     charge units drawn — and out-of-range [m] raises [Invalid_argument]. *)
+
+val fields :
+  t -> Kibam.Params.t * float * float * int * int * int array
+(** The six defining fields, [(params, time_step, charge_unit,
+    n_units, c_milli, recov_time)]: what a digest of a discretization
+    marshals.  It never changes as tables get built, and it marshals
+    to the bytes of a record of these six fields, which is what the
+    fingerprints of [sched.optimal.memo.v2] checkpoints digest. *)
+
+val timeline_cap : int
+(** 65,534: the longest timeline ([C(n_units)], in steps) that gets
+    tables — the longest whose every entry fits in 16 bits (each
+    [recov_time] is at least one step, so [n_units ≤ C(n_units) + 1]).
+    B1 at the paper's grid needs 5,197, B2 5,747 and the finest
+    ablation grid ([T] = 0.0025 min) 20,682; at the cap, [M] takes
+    128 KiB and each [D_cur] 256 KiB. *)
+
+val max_draw_cur : int
+(** 4: draws of [1 .. max_draw_cur] units are tabulated (the repo's
+    0.25–2.0 A currents draw at most 3 units per draw at the paper's
+    grid); a larger [cur] is served by the event loop. *)
+
+val no_table : table
+(** The 0-length table that stands for a [D_cur] not built yet. *)
+
+val timeline : t -> timeline
+(** The timeline's [C] and [M] tables, built on the first call. *)
+
+val draw_table : t -> int -> table
+(** [draw_table d cur]: the table [D_cur], built on the first call for
+    this [cur].  Raises [Invalid_argument] when [cur] is outside
+    [1 .. max_draw_cur] or the timeline is past the cap. *)
 
 val height_unit : t -> float
 (** Γ/c in A·min (≈ 0.06 for the paper's cell). *)

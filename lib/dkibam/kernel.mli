@@ -12,9 +12,29 @@
     batch engine rests on it.
 
     Every function here updates its cell in place and allocates
-    nothing.  {!serve} is the one loop that holds the recurrences:
-    recovery and the [use_charge] edge are each written once, inside
-    it, and {!tick} and {!draw} are its one-segment cases. *)
+    nothing.  {!serve} is the one entry point that holds the
+    recurrences, and {!tick} and {!draw} are its one-segment cases.  It
+    runs on the recovery timeline of {!Discretization} (T = C(m) −
+    clock): it converts the cell to [T] once on entry and back once on
+    exit, and in between [k] recovery steps are one subtraction and a
+    draw, with its eq. (8) test, is one lookup in the table D_cur
+    (the landing point and [M] of it, side by side).  A draw therefore
+    costs O(1), whatever recovery it spans; the event loop it replaces
+    pays one iteration per recovery event (one 6,144-trace Monte Carlo
+    block schedules 1.98 M draws and fires 0.92 M recovery events:
+    doc/PERFORMANCE.md, "What a search node costs").
+
+    {!serve_events} is the same recurrences one recovery event at a
+    time, as eq. (6) states them.  It stays, for the cases the timeline
+    does not cover, and as the reference the timeline is tested
+    against: {!serve} hands a span to it when the discretization's
+    timeline is past {!Discretization.timeline_cap}, when [cur] is
+    outside [1 .. Discretization.max_draw_cur] (and the span draws),
+    for the first segment from a cell that is not on the timeline (a
+    fresh [m = 0], an overdue or a negative clock), and for a span in
+    which a draw would take [m] past [n_units], where the event loop
+    raises [Invalid_argument] (and so does {!serve}, with the cell
+    untouched). *)
 
 type cell = { mutable n : int; mutable m : int; mutable clock : int }
 (** One battery's state, as scratch space for the transitions below. *)
@@ -31,17 +51,18 @@ val serve :
     steps after it are {e not} ticked.  Raises [Invalid_argument] when
     [ct], [draws] or [rest] is negative, before touching [c].
 
-    Recovery jumps from recovery event to recovery event, so a segment
-    costs O(number of recovery events), not O(steps): while [m >= 2]
-    each recovery is due [max 1 (recov_time m - clock)] steps ahead (an
-    already-overdue recovery — possible for hand-built states — fires
-    on the next step) and resets the clock; below [m = 2] the remaining
-    steps only age the clock.  A draw resets the recovery clock exactly
-    when recovery was not already running ([m <= 1] before it), then
+    The recurrences: while [m >= 2] a recovery event is
+    due [max 1 (recov_time m - clock)] steps ahead (an already-overdue
+    recovery — possible for hand-built states — fires on the next
+    step) and resets the clock; below [m = 2] the remaining steps only
+    age the clock.  A draw resets the recovery clock exactly when
+    recovery was not already running ([m <= 1] before it), then
     [n -= cur], [m += cur], and an already-due recovery fires at the
     same instant (the settle rule: [recov_time] shrinks as [m] grows).
+    On the timeline these rules are [T − k] and D_cur; the results are
+    the event loop's, bit for bit.
 
-    The loop makes no call.  That is why eq. (8) appears a second time
+    Neither loop makes a call.  That is why eq. (8) appears twice
     here, written out next to its definition in
     {!Discretization.is_empty}: dune's dev profile, which the benchmark
     builds with, compiles with [-opaque], so no call across a module
@@ -55,6 +76,12 @@ val serve :
     them once, by {!elapsed} steps, with a single {!tick}; by the
     composition law below that is exactly the per-draw interleaving of
     the paper's network. *)
+
+val serve_events :
+  Discretization.t -> cell -> ct:int -> cur:int -> draws:int -> rest:int -> int
+(** {!serve} one recovery event at a time: each segment jumps from
+    event to event of eq. (6), so it costs O(recovery events).  Same
+    contract and results as {!serve}, exceptions included. *)
 
 val tick : Discretization.t -> cell -> int -> unit
 (** [tick d c steps] advances [c] by [steps] time steps of pure

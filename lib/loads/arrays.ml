@@ -107,49 +107,108 @@ let round_steps ~time_step duration =
             duration time_step));
   steps
 
-let make ~time_step ~charge_unit load =
+(* The encoder: epochs are appended one at a time, each job's current
+   encoded once per distinct value (up to [fraction_cache] of them). *)
+type builder = {
+  b_time_step : float;
+  b_charge_unit : float;
+  mutable b_len : int;
+  mutable b_clock : int;
+  mutable b_load_time : int array;
+  mutable b_cur_times : int array;
+  mutable b_cur : int array;
+  mutable b_fractions : (float * int * int) list;
+}
+
+let fraction_cache = 8
+
+let builder ?(capacity = 16) ~time_step ~charge_unit () =
   if time_step <= 0.0 then invalid_arg "Loads.Arrays.make: time_step <= 0";
   if charge_unit <= 0.0 then invalid_arg "Loads.Arrays.make: charge_unit <= 0";
-  let encode_epoch (e : Epoch.epoch) =
-    match e with
-    | Epoch.Idle d ->
-        let steps = round_steps ~time_step d in
-        (steps, steps, 0)
-    | Epoch.Job { current; duration } ->
-        let steps = round_steps ~time_step duration in
-        (* eq. (7): I = cur * Gamma / (cur_times * T), so
-           cur / cur_times = I * T / Gamma. *)
-        let ratio = current *. time_step /. charge_unit in
-        let cur, cur_times =
-          match to_fraction ~max_den:10_000 ratio with
-          | Some (p, q) -> (p, q)
-          | None ->
-              raise
-                (Not_representable
-                   (Printf.sprintf
-                      "current %g A has no exact cur/cur_times encoding at T=%g \
-                       Gamma=%g"
-                      current time_step charge_unit))
-        in
-        (steps, cur_times, cur)
+  let capacity = max 1 capacity in
+  {
+    b_time_step = time_step;
+    b_charge_unit = charge_unit;
+    b_len = 0;
+    b_clock = 0;
+    b_load_time = Array.make capacity 0;
+    b_cur_times = Array.make capacity 0;
+    b_cur = Array.make capacity 0;
+    b_fractions = [];
+  }
+
+let push b steps ct c =
+  if b.b_len = Array.length b.b_load_time then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    b.b_load_time <- grow b.b_load_time;
+    b.b_cur_times <- grow b.b_cur_times;
+    b.b_cur <- grow b.b_cur
+  end;
+  b.b_clock <- b.b_clock + steps;
+  b.b_load_time.(b.b_len) <- b.b_clock;
+  b.b_cur_times.(b.b_len) <- ct;
+  b.b_cur.(b.b_len) <- c;
+  b.b_len <- b.b_len + 1
+
+let add_idle b duration =
+  let steps = round_steps ~time_step:b.b_time_step duration in
+  push b steps steps 0
+
+let rec cached current = function
+  | ((c, _, _) as f) :: rest -> if Float.equal c current then f else cached current rest
+  | [] -> raise_notrace Not_found
+
+(* eq. (7): I = cur * Gamma / (cur_times * T), so
+   cur / cur_times = I * T / Gamma. *)
+let fraction b current =
+  match cached current b.b_fractions with
+  | f -> f
+  | exception Not_found -> (
+      let ratio = current *. b.b_time_step /. b.b_charge_unit in
+      match to_fraction ~max_den:10_000 ratio with
+      | Some (p, q) ->
+          let f = (current, p, q) in
+          if List.length b.b_fractions < fraction_cache then
+            b.b_fractions <- f :: b.b_fractions;
+          f
+      | None ->
+          raise
+            (Not_representable
+               (Printf.sprintf
+                  "current %g A has no exact cur/cur_times encoding at T=%g \
+                   Gamma=%g"
+                  current b.b_time_step b.b_charge_unit)))
+
+let add_job b ~current ~duration =
+  let steps = round_steps ~time_step:b.b_time_step duration in
+  let _, cur, cur_times = fraction b current in
+  push b steps cur_times cur
+
+let finish b =
+  if b.b_len = 0 then invalid_arg "Loads.Arrays.make: empty load";
+  let fit a = if Array.length a = b.b_len then a else Array.sub a 0 b.b_len in
+  let t =
+    {
+      load_time = fit b.b_load_time;
+      cur_times = fit b.b_cur_times;
+      cur = fit b.b_cur;
+      time_step = b.b_time_step;
+      charge_unit = b.b_charge_unit;
+    }
   in
-  let encoded = List.map encode_epoch (Epoch.epochs load) in
-  let n = List.length encoded in
-  if n = 0 then invalid_arg "Loads.Arrays.make: empty load";
-  let load_time = Array.make n 0
-  and cur_times = Array.make n 0
-  and cur = Array.make n 0 in
-  let clock = ref 0 in
-  List.iteri
-    (fun y (steps, ct, c) ->
-      clock := !clock + steps;
-      load_time.(y) <- !clock;
-      cur_times.(y) <- ct;
-      cur.(y) <- c)
-    encoded;
-  let t = { load_time; cur_times; cur; time_step; charge_unit } in
   validate t;
   t
+
+let make ~time_step ~charge_unit load =
+  let b =
+    builder ~capacity:(Epoch.epoch_count load) ~time_step ~charge_unit ()
+  in
+  List.iter
+    (function
+      | Epoch.Idle d -> add_idle b d
+      | Epoch.Job { current; duration } -> add_job b ~current ~duration)
+    (Epoch.epochs load);
+  finish b
 
 let make_result ?input ~time_step ~charge_unit load =
   if time_step <= 0.0 then

@@ -40,12 +40,44 @@ val to_fraction : max_den:int -> float -> (int * int) option
     [max_den = 10_000]. *)
 
 val make : time_step:float -> charge_unit:float -> Epoch.t -> t
-(** [make ~time_step ~charge_unit load] encodes [load].  The ratio
+(** [make ~time_step ~charge_unit load] encodes [load], one epoch at a
+    time through a {!type-builder}.  The ratio
     [I·T/Γ] of each job is converted to the smallest exact fraction
     [cur/cur_times] with [cur_times <= 10_000] ({!to_fraction});
     idle epochs get [cur = 0] and [cur_times] equal to the
     epoch length.  Raises {!Not_representable} when exactness is
     impossible. *)
+
+(** {2 Encoding epoch by epoch}
+
+    {!make} walks an epoch list through this encoder.  A producer that
+    holds its load in another form (a stochastic sampler's realized
+    chain, say) appends the same epochs to a builder directly and gets
+    the same arrays, bit for bit, without building the list. *)
+
+type builder
+(** An encoding in progress. *)
+
+val builder :
+  ?capacity:int -> time_step:float -> charge_unit:float -> unit -> builder
+(** An empty encoding at this discretization; [capacity] (default 16)
+    is the expected epoch count, and the builder grows past it.
+    Raises [Invalid_argument] when [time_step] or [charge_unit] is not
+    positive. *)
+
+val add_idle : builder -> float -> unit
+(** Append an idle epoch of this many minutes.  Raises
+    {!Not_representable} when it is off the time grid. *)
+
+val add_job : builder -> current:float -> duration:float -> unit
+(** Append a job epoch: its duration is rounded to steps, then its
+    current encoded as {!make} does — one {!to_fraction} per distinct
+    current (the first eight distinct currents are remembered).  Raises
+    {!Not_representable} as {!make} does. *)
+
+val finish : builder -> t
+(** The arrays, after {!validate}.  Raises [Invalid_argument] when no
+    epoch was added. *)
 
 val make_result :
   ?input:string ->

@@ -17,6 +17,12 @@ let sample_load model ~seed =
   | Onoff m -> Stoch.Onoff.sample m ~seed
   | Env m -> Stoch.Env.sample m ~seed
 
+let sample_arrays model ~seed (disc : Dkibam.Discretization.t) =
+  let time_step = disc.time_step and charge_unit = disc.charge_unit in
+  match model with
+  | Onoff m -> Stoch.Onoff.arrays m ~seed ~time_step ~charge_unit
+  | Env m -> Stoch.Env.arrays m ~seed ~time_step ~charge_unit
+
 type death_before = {
   db_deadline_min : float;
   db_deaths : int;
@@ -108,9 +114,7 @@ let run ?pool ?budget ?batch ?switch_delay ?(block = 2048)
     let loads =
       Array.init b (fun k ->
           Obs.incr c_samples;
-          Loads.Arrays.make ~time_step:disc.time_step
-            ~charge_unit:disc.charge_unit
-            (sample_load model ~seed:(Prng.Splitmix.split seed (base + k))))
+          sample_arrays model ~seed:(Prng.Splitmix.split seed (base + k)) disc)
     in
     (* Common random numbers: every policy runs the same sampled loads,
        so the dominance counts below compare paired lifetimes. *)

@@ -51,6 +51,13 @@ val sample_load : model -> seed:int64 -> Loads.Epoch.t
 (** Draw one device trace from the model (dispatches to
     {!Stoch.Onoff.sample} / {!Stoch.Env.sample}). *)
 
+val sample_arrays :
+  model -> seed:int64 -> Dkibam.Discretization.t -> Loads.Arrays.t
+(** The same trace encoded at the discretization's grid, straight from
+    the model's realized chain ({!Stoch.Onoff.arrays} /
+    {!Stoch.Env.arrays}): bit for bit [Loads.Arrays.make] of
+    {!sample_load}, without the epoch list.  What {!run} samples. *)
+
 type death_before = {
   db_deadline_min : float;  (** the deadline the probability is against *)
   db_deaths : int;  (** samples with death strictly before it *)

@@ -141,7 +141,10 @@ module Tbl = Hashtbl.Make (Key)
    input the memo values depend on, so a snapshot from a different
    load, pack or objective is refused instead of silently poisoning a
    resumed search — memo entries are exact subtree values, but only
-   for the inputs that produced them. *)
+   for the inputs that produced them.  The discretization enters as its
+   six defining fields ([Discretization.fields]), never as the record:
+   the record also holds its lazily built timeline tables, and a digest
+   must not depend on which of them a run happened to build. *)
 let memo_magic = "sched.optimal.memo.v2"
 
 (* Bounds default to on; the environment switch lets `dune runtest` and
@@ -157,7 +160,7 @@ let fingerprint ~switch_delay ~objective ~allow_final_draw_skip ~initial
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( disc,
+          ( Dkibam.Discretization.fields disc,
             load,
             n_batteries,
             switch_delay,

@@ -235,64 +235,76 @@ let run_batch ?pool ?switch_delay ?(chunk = 4096) ?batch ~n_batteries disc
           | Ok c ->
               compiled := c :: !compiled;
               incr n_compiled;
-              Some (!n_compiled - 1)
-          | Error _ -> None
+              !n_compiled - 1
+          | Error _ -> -1
         in
         Phys.add slots load slot;
         slot
   in
-  let lane_of i =
-    match batch_policy_of requests.(i).req_policy with
-    | Some policy when use_batch ->
-        Option.map
-          (fun load -> { Batch.Engine.load; policy })
-          (slot_of requests.(i).req_load)
-    | _ -> None
-  in
-  let lanes = Array.init n lane_of in
+  (* One pass over the requests: the batched lanes, in request order,
+     fill [lanes] and the front of [idx] with their request indices;
+     the scalar-fallback requests fill [idx] from the back, so the k-th
+     of them (in request order) sits at [n - 1 - k]. *)
+  let lanes = Array.make n { Batch.Engine.load = 0; policy = Sequential } in
+  let idx = Array.make n 0 and n_batch = ref 0 and n_scalar = ref 0 in
+  for i = 0 to n - 1 do
+    let r = requests.(i) in
+    let slot =
+      if not use_batch then -1
+      else
+        match batch_policy_of r.req_policy with
+        | Some policy ->
+            let slot = slot_of r.req_load in
+            if slot >= 0 then lanes.(!n_batch) <- { load = slot; policy };
+            slot
+        | None -> -1
+    in
+    if slot >= 0 then begin
+      idx.(!n_batch) <- i;
+      incr n_batch
+    end
+    else begin
+      incr n_scalar;
+      idx.(n - !n_scalar) <- i
+    end
+  done;
   let loads = Array.of_list (List.rev !compiled) in
-  let batch_idx, scalar_idx =
-    List.partition (fun i -> Option.is_some lanes.(i)) (List.init n Fun.id)
-  in
-  let batch_idx = Array.of_list batch_idx in
+  let results = Array.make n { res_lifetime_steps = None; res_stranded = 0 } in
   (* Work items: the batched lanes chopped into [chunk]-lane batches
      (each its own State.t, so batches fan out across the pool without
-     sharing mutable state), plus one item per scalar-fallback lane. *)
-  let n_batch = Array.length batch_idx in
-  let batch_chunks =
-    List.init
-      ((n_batch + chunk - 1) / chunk)
-      (fun c -> Array.sub batch_idx (c * chunk) (min chunk (n_batch - (c * chunk))))
-  in
-  let run_chunk idxs =
-    let chunk_lanes = Array.map (fun i -> Option.get lanes.(i)) idxs in
-    let st =
-      Batch.Engine.run ?switch_delay ~n_batteries disc ~loads ~lanes:chunk_lanes
-    in
-    Array.mapi
-      (fun k i ->
-        ( i,
+     sharing mutable state), then one item per scalar-fallback request.
+     Every item writes its own result slots, so items never race. *)
+  let n_batch = !n_batch in
+  let n_chunks = (n_batch + chunk - 1) / chunk in
+  let run_item w =
+    if w < n_chunks then begin
+      let first = w * chunk in
+      let len = min chunk (n_batch - first) in
+      let chunk_lanes = if len = n then lanes else Array.sub lanes first len in
+      let st =
+        Batch.Engine.run ?switch_delay ~n_batteries disc ~loads
+          ~lanes:chunk_lanes
+      in
+      for k = 0 to len - 1 do
+        results.(idx.(first + k)) <-
           {
             res_lifetime_steps = Batch.State.lifetime_steps st k;
             res_stranded = Batch.State.stranded st k;
-          } ))
-      idxs
+          }
+      done
+    end
+    else begin
+      let i = idx.(n - 1 - (w - n_chunks)) in
+      results.(i) <- scalar_one ?switch_delay ~n_batteries disc requests.(i)
+    end
   in
-  let work =
-    List.map (fun idxs () -> run_chunk idxs) batch_chunks
-    @ List.map
-        (fun i () -> [| (i, scalar_one ?switch_delay ~n_batteries disc requests.(i)) |])
-        scalar_idx
-  in
-  let outs =
-    match pool with
-    | Some p -> Exec.Pool.parallel_list_map ~chunk:1 p (fun f -> f ()) work
-    | None -> List.map (fun f -> f ()) work
-  in
-  let results =
-    Array.make n { res_lifetime_steps = None; res_stranded = 0 }
-  in
-  List.iter (Array.iter (fun (i, r) -> results.(i) <- r)) outs;
+  let n_items = n_chunks + !n_scalar in
+  (match pool with
+  | Some p -> ignore (Exec.Pool.parallel_init ~chunk:1 p n_items run_item : unit array)
+  | None ->
+      for w = 0 to n_items - 1 do
+        run_item w
+      done);
   results
 
 let lifetime ?switch_delay ~n_batteries ~policy disc load =

@@ -48,15 +48,17 @@ let make ?(levels = [| 0.0; 0.25; 0.5 |]) ?(mean_dwell = 4.0) ?(slot = 1.0)
       ~accepted:"an integer >= 1" "need at least one slot";
   { levels = Array.copy levels; mean_dwell; slot; slots }
 
-let sample t ~seed =
+(* The chain, realized once: sojourn [i] < [count] holds level
+   [states.(i)] for [dwells.(i)] slots.  Draw order (part of the
+   contract, see .mli): one [int] for the initial state, then per
+   sojourn one [float] for the dwell and one [int] for the next
+   state. *)
+let realize t ~seed =
   let g = Prng.Splitmix.create seed in
   let n = Array.length t.levels in
-  (* Draw order (part of the contract, see .mli): one [int] for the
-     initial state, then per sojourn one [float] for the dwell and one
-     [int] for the next state. *)
+  let states = Array.make t.slots 0 and dwells = Array.make t.slots 0 in
   let state = ref (Prng.Splitmix.int g n) in
-  let remaining = ref t.slots in
-  let rev = ref [] in
+  let remaining = ref t.slots and count = ref 0 in
   while !remaining > 0 do
     let dwell =
       if t.mean_dwell <= 1.0 then 1
@@ -72,18 +74,39 @@ let sample t ~seed =
     in
     let dwell = min dwell !remaining in
     remaining := !remaining - dwell;
-    let level = t.levels.(!state) in
-    let duration = float_of_int dwell *. t.slot in
-    rev :=
-      (if level > 0.0 then Loads.Epoch.Job { current = level; duration }
-       else Loads.Epoch.Idle duration)
-      :: !rev;
+    states.(!count) <- !state;
+    dwells.(!count) <- dwell;
+    incr count;
     (* uniform among the other states — levels are distinct, so the
        next epoch never merges with this one *)
     let j = Prng.Splitmix.int g (n - 1) in
     state := if j >= !state then j + 1 else j
   done;
+  (!count, states, dwells)
+
+(* The realization's epochs, in order: one per sojourn, idle at level
+   0. *)
+let iter_epochs t (count, states, dwells) ~idle ~job =
+  for i = 0 to count - 1 do
+    let level = t.levels.(states.(i)) in
+    let duration = float_of_int dwells.(i) *. t.slot in
+    if level > 0.0 then job level duration else idle duration
+  done
+
+let sample t ~seed =
+  let rev = ref [] in
+  iter_epochs t (realize t ~seed)
+    ~idle:(fun d -> rev := Loads.Epoch.Idle d :: !rev)
+    ~job:(fun current duration ->
+      rev := Loads.Epoch.Job { current; duration } :: !rev);
   Loads.Epoch.of_epochs (List.rev !rev)
+
+let arrays t ~seed ~time_step ~charge_unit =
+  let ((count, _, _) as r) = realize t ~seed in
+  let b = Loads.Arrays.builder ~capacity:count ~time_step ~charge_unit () in
+  iter_epochs t r ~idle:(Loads.Arrays.add_idle b)
+    ~job:(fun current duration -> Loads.Arrays.add_job b ~current ~duration);
+  Loads.Arrays.finish b
 
 let spec t ~seed = Loads.Spec.to_string (sample t ~seed)
 

@@ -48,6 +48,14 @@ val sample : t -> seed:int64 -> Loads.Epoch.t
     {!Prng.Splitmix.split} to derive per-device seeds from a root seed
     so any lane can be regenerated in isolation. *)
 
+val arrays :
+  t -> seed:int64 -> time_step:float -> charge_unit:float -> Loads.Arrays.t
+(** The same trace, encoded straight into the integer arrays: equal,
+    bit for bit, to [Loads.Arrays.make ~time_step ~charge_unit (sample
+    t ~seed)], exceptions included, without building the epoch list.
+    Both come from one realization of the chain, so the draw order
+    above is written once. *)
+
 val spec : t -> seed:int64 -> string
 (** [Loads.Spec.to_string (sample t ~seed)] — the sampled trace as an
     ordinary load spec, runnable by any [batsched] subcommand. *)

@@ -48,55 +48,68 @@ let make ?(p_on = 0.5) ?(p_off = 0.5) ?(currents = [| 0.25; 0.5 |])
 
 let stationary_on t = t.p_on /. (t.p_on +. t.p_off)
 
-let sample t ~seed =
+(* The chain, realized once: entry [i] is the index in [currents] of
+   slot [i]'s current, or -1 for an off slot.  The draw order is part
+   of the reproducibility contract (.mli): one float for the
+   stationary initial state, one [int] (a [choose]) at each burst
+   start (including slot 0 when it starts on), one float per slot
+   boundary for the transition. *)
+let realize t ~seed =
   let g = Prng.Splitmix.create seed in
-  (* First pass: realize the chain slot by slot.  currents_by_slot.(i)
-     is 0.0 for an off slot and the burst's current for an on slot.
-     The draw order is part of the reproducibility contract (.mli):
-     one float for the stationary initial state, one [choose] at each
-     burst start (including slot 0 when it starts on), one float per
-     slot boundary for the transition. *)
-  let by_slot = Array.make t.slots 0.0 in
+  let n = Array.length t.currents in
+  let by_slot = Array.make t.slots (-1) in
   let on = ref (Prng.Splitmix.float g 1.0 < stationary_on t) in
-  let current =
-    ref (if !on then Prng.Splitmix.choose g t.currents else 0.0)
-  in
+  let current = ref (if !on then Prng.Splitmix.int g n else -1) in
   for i = 0 to t.slots - 1 do
-    by_slot.(i) <- (if !on then !current else 0.0);
+    if !on then by_slot.(i) <- !current;
     if i < t.slots - 1 then
       if !on then begin
         if Prng.Splitmix.float g 1.0 < t.p_off then on := false
       end
       else if Prng.Splitmix.float g 1.0 < t.p_on then begin
         on := true;
-        current := Prng.Splitmix.choose g t.currents
+        current := Prng.Splitmix.int g n
       end
   done;
-  (* Second pass: compile into epochs.  Every on slot is its own job
-     epoch (a scheduling point per slot, like the paper's IL loads);
-     off runs merge into one idle whose duration is computed as
-     count * slot — a single multiplication, so the symbolic load
-     round-trips through Loads.Spec exactly whenever the products
-     print exactly (the default slot does). *)
-  let rev = ref [] in
+  by_slot
+
+(* The realization's epochs, in order.  Every on slot is its own job
+   epoch (a scheduling point per slot, like the paper's IL loads); off
+   runs merge into one idle whose duration is computed as count * slot
+   — a single multiplication, so the symbolic load round-trips through
+   Loads.Spec exactly whenever the products print exactly (the default
+   slot does). *)
+let iter_epochs t by_slot ~idle ~job =
   let idle_run = ref 0 in
   let flush_idle () =
     if !idle_run > 0 then begin
-      rev :=
-        Loads.Epoch.Idle (float_of_int !idle_run *. t.slot) :: !rev;
+      idle (float_of_int !idle_run *. t.slot);
       idle_run := 0
     end
   in
   Array.iter
-    (fun c ->
-      if c > 0.0 then begin
+    (fun l ->
+      if l >= 0 then begin
         flush_idle ();
-        rev := Loads.Epoch.Job { current = c; duration = t.slot } :: !rev
+        job t.currents.(l) t.slot
       end
       else incr idle_run)
     by_slot;
-  flush_idle ();
+  flush_idle ()
+
+let sample t ~seed =
+  let rev = ref [] in
+  iter_epochs t (realize t ~seed)
+    ~idle:(fun d -> rev := Loads.Epoch.Idle d :: !rev)
+    ~job:(fun current duration ->
+      rev := Loads.Epoch.Job { current; duration } :: !rev);
   Loads.Epoch.of_epochs (List.rev !rev)
+
+let arrays t ~seed ~time_step ~charge_unit =
+  let b = Loads.Arrays.builder ~capacity:t.slots ~time_step ~charge_unit () in
+  iter_epochs t (realize t ~seed) ~idle:(Loads.Arrays.add_idle b)
+    ~job:(fun current duration -> Loads.Arrays.add_job b ~current ~duration);
+  Loads.Arrays.finish b
 
 let spec t ~seed = Loads.Spec.to_string (sample t ~seed)
 

@@ -134,6 +134,38 @@ let test_shared_search_identical () =
   if s.Sched.Memo.st_entries = 0 then
     Alcotest.fail "searches published no entries"
 
+(* A discretization's timeline tables are built as engines first need
+   them, inside the record the searches digest: a search's memo scope
+   must not move when they are.  The first [cl_alt] search fills only
+   the one-unit draw table; a Monte Carlo block and a 0.75-A search
+   (three-unit draws) on the same fresh discretization add more; the
+   repeated search must still find the first one's entries. *)
+let test_tables_stay_out_of_digests () =
+  let disc = Dkibam.Discretization.make Kibam.Params.b1 in
+  let m = Sched.Memo.create ~capacity:200_000 () in
+  let cl_alt = enc (Loads.Testloads.load Loads.Testloads.CL_alt) in
+  let first = Sched.Optimal.search ~shared:m ~n_batteries:2 disc cl_alt in
+  ignore
+    (Sched.Montecarlo.run ~seed:3L ~samples:64
+       (Sched.Montecarlo.Onoff (Stoch.Onoff.make ~slots:40 ()))
+       disc
+      : Sched.Montecarlo.t);
+  let heavy =
+    enc
+      (Loads.Random_load.intermitted ~seed:5L ~jobs:20 ~currents:[| 0.5; 0.75 |]
+         ())
+  in
+  ignore (Sched.Optimal.search ~n_batteries:2 disc heavy : Sched.Optimal.result);
+  let hits = (Sched.Memo.stats m).Sched.Memo.st_hits in
+  let again = Sched.Optimal.search ~shared:m ~n_batteries:2 disc cl_alt in
+  check_same_result "cl_alt again" first again;
+  let hits' = (Sched.Memo.stats m).Sched.Memo.st_hits in
+  if hits' <= hits then
+    Alcotest.failf
+      "the repeated cl_alt search found no memo entry (hits %d -> %d): the \
+       scope moved with the timeline tables"
+      hits hits'
+
 let test_eviction_thrash_identical () =
   (* a store far too small for even one search: constant eviction, and
      still every answer matches the unshared baseline — then the same
@@ -331,6 +363,8 @@ let () =
         [
           Alcotest.test_case "shared search = unshared, cold and warm" `Quick
             test_shared_search_identical;
+          Alcotest.test_case "timeline tables stay out of digests" `Quick
+            test_tables_stay_out_of_digests;
           Alcotest.test_case "identical under eviction thrash" `Quick
             test_eviction_thrash_identical;
           Alcotest.test_case "horizon policy identical with shared scope"

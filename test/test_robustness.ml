@@ -402,13 +402,24 @@ let discs = [ ("B1", Dkibam.Discretization.paper_b1); ("B2", Dkibam.Discretizati
 
 (* The kernel suites add a coarse grid (T = 0.25 min, Gamma = 0.05
    A*min, N = 110) on which eq. (6) rounds to 0 for m > 65, so
-   recov_time clamps to one step there. *)
+   recov_time clamps to one step there, and B1 with k' a thousand times
+   smaller, whose recovery timeline (5.2 M steps) is past the cap: there
+   the kernel serves every span on the event loop. *)
 let coarse = Dkibam.Discretization.make ~time_step:0.25 ~charge_unit:0.05 Kibam.Params.b1
-let kernel_discs = discs @ [ ("coarse", coarse) ]
 
-(* A random battery state: [m <= N - n] keeps every draw inside the
-   recovery table; the clock is sometimes past the recovery due at [m]
-   (a hand-built overdue state), and [m < 2] comes up often. *)
+let past_cap =
+  Dkibam.Discretization.make
+    (Kibam.Params.make ~c:Kibam.Params.b1.c ~k':(Kibam.Params.b1.k' /. 1000.0)
+       ~capacity:Kibam.Params.b1.capacity)
+
+let kernel_discs = discs @ [ ("coarse", coarse); ("past the cap", past_cap) ]
+
+(* A random battery state.  [m <= N - n] mostly keeps every draw inside
+   the recovery table; one state in eight has [m] within a few units of
+   [N], where a draw can take [m] past [N] and the kernel must raise
+   exactly as the reference does.  The clock is sometimes past the
+   recovery due at [m] (a hand-built overdue state), [m < 2] comes up
+   often, and at [m = 1] the clock is sometimes large. *)
 let random_state g (d : Dkibam.Discretization.t) =
   let big = d.n_units in
   let n =
@@ -418,23 +429,30 @@ let random_state g (d : Dkibam.Discretization.t) =
     | _ -> Prng.Splitmix.int g (big + 1)
   in
   let m =
-    match Prng.Splitmix.int g 4 with
-    | 0 -> Prng.Splitmix.int g 2
+    match Prng.Splitmix.int g 8 with
+    | 0 | 1 -> Prng.Splitmix.int g 2
+    | 2 -> big - Prng.Splitmix.int g 6
     | _ -> Prng.Splitmix.int g (big - n + 1)
   in
   let due = if m >= 2 then d.recov_time.(m) else 40 in
   let clock =
-    match Prng.Splitmix.int g 3 with
+    match Prng.Splitmix.int g 4 with
     | 0 -> due + Prng.Splitmix.int g 30
+    | 1 when m = 1 -> 1_000_000 + Prng.Splitmix.int g 1_000_000_000_000
     | _ -> Prng.Splitmix.int g (due + 1)
   in
   (n, m, clock)
 
+(* [cur] falls on both sides of the kernel's tabulated range
+   [1 .. Discretization.max_draw_cur], and [ct] is sometimes 0. *)
 let random_schedule g : Loads.Cursor.schedule =
   let pick_zero k = if Prng.Splitmix.int g 5 = 0 then 0 else k in
+  let tab = Dkibam.Discretization.max_draw_cur in
   {
-    ct = 1 + Prng.Splitmix.int g 60;
-    cur = 1 + Prng.Splitmix.int g 12;
+    ct = pick_zero (1 + Prng.Splitmix.int g 60);
+    cur =
+      (if Prng.Splitmix.bool g then 1 + Prng.Splitmix.int g tab
+       else tab + 1 + Prng.Splitmix.int g 8);
     draws = pick_zero (Prng.Splitmix.int g 45);
     rest = pick_zero (Prng.Splitmix.int g 60);
   }
@@ -443,24 +461,48 @@ let cell_of (n, m, clock) = { Dkibam.Kernel.n; m; clock }
 let triple (c : Dkibam.Kernel.cell) = (c.n, c.m, c.clock)
 let show (n, m, clock) = Printf.sprintf "(%d, %d, %d)" n m clock
 
+(* An outcome, exceptions included: a draw that takes m past N raises
+   Invalid_argument in the reference and must raise the same in the
+   kernel. *)
+let attempt f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+let show_outcome show_v = function
+  | Ok v -> show_v v
+  | Error msg -> Printf.sprintf "Invalid_argument %S" msg
+
+let show_span (fatal, cell) = Printf.sprintf "draw %d and %s" fatal (show cell)
+
 (* The kernel's entry points called directly on battery [b]'s state:
-   [serve] (fatal index, cell and [elapsed]) against [ref_span], its
-   one-segment cases [tick] and [draw] against [ref_tick] and
+   [serve] and the event loop [serve_events] (fatal index, cell and
+   [elapsed]; the cell untouched when they raise) against [ref_span],
+   the one-segment cases [tick] and [draw] against [ref_tick] and
    [ref_draw], and [Bank.draw_from] (result, battery and dead flag). *)
 let check_entry_points label d cells dead ~b (sch : Loads.Cursor.schedule) ~k =
   let start = cells.(b) in
-  let want_fatal, want = ref_span d start sch in
-  let c = cell_of start in
-  let fatal = Dkibam.Kernel.serve d c ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws ~rest:sch.rest in
-  if fatal <> want_fatal || triple c <> want then
-    failf "%s: Kernel.serve from %s gives draw %d and %s, per-draw loop %d and %s" label
-      (show start) fatal (show (triple c)) want_fatal (show want);
-  let steps = Dkibam.Kernel.elapsed ~ct:sch.ct ~draws:sch.draws ~rest:sch.rest fatal in
-  let want_steps =
-    if want_fatal = 0 then (sch.draws * sch.ct) + sch.rest else want_fatal * sch.ct
-  in
-  if steps <> want_steps then
-    failf "%s: Kernel.elapsed %d, per-draw loop %d" label steps want_steps;
+  let want = attempt (fun () -> ref_span d start sch) in
+  List.iter
+    (fun (name, serve) ->
+      let c = cell_of start in
+      let got =
+        attempt (fun () ->
+            let fatal = serve d c ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws ~rest:sch.rest in
+            (fatal, triple c))
+      in
+      if got <> want then
+        failf "%s: Kernel.%s from %s gives %s, per-draw loop %s" label name (show start)
+          (show_outcome show_span got) (show_outcome show_span want);
+      if Result.is_error got && triple c <> start then
+        failf "%s: Kernel.%s raised after changing the cell" label name)
+    [ ("serve", Dkibam.Kernel.serve); ("serve_events", Dkibam.Kernel.serve_events) ];
+  (match want with
+  | Error _ -> ()
+  | Ok (want_fatal, _) ->
+      let steps = Dkibam.Kernel.elapsed ~ct:sch.ct ~draws:sch.draws ~rest:sch.rest want_fatal in
+      let want_steps =
+        if want_fatal = 0 then (sch.draws * sch.ct) + sch.rest else want_fatal * sch.ct
+      in
+      if steps <> want_steps then
+        failf "%s: Kernel.elapsed %d, per-draw loop %d" label steps want_steps);
   let c = cell_of start in
   Dkibam.Kernel.tick d c k;
   if triple c <> ref_tick d start k then
@@ -469,10 +511,11 @@ let check_entry_points label d cells dead ~b (sch : Loads.Cursor.schedule) ~k =
   let ((n, _, _) as ticked) = ref_tick d start sch.ct in
   if n >= sch.cur then begin
     let c = cell_of ticked in
-    Dkibam.Kernel.draw d c ~cur:sch.cur;
-    if triple c <> ref_draw d ticked sch.cur then
+    let got = attempt (fun () -> Dkibam.Kernel.draw d c ~cur:sch.cur; triple c) in
+    let want = attempt (fun () -> ref_draw d ticked sch.cur) in
+    if got <> want then
       failf "%s: Kernel.draw %d from %s gives %s, reference %s" label sch.cur
-        (show ticked) (show (triple c)) (show (ref_draw d ticked sch.cur))
+        (show ticked) (show_outcome show got) (show_outcome show want)
   end;
   let bank =
     Sched.Bank.of_parts d
@@ -483,21 +526,28 @@ let check_entry_points label d cells dead ~b (sch : Loads.Cursor.schedule) ~k =
            cells)
       ~dead
   in
-  let fatal = Sched.Bank.draw_from bank b ~cur:sch.cur in
-  let n, _, _ = start in
-  let want_fatal, want =
-    if n < sch.cur then (true, start)
-    else begin
-      let ((n', m', _) as c') = ref_draw d start sch.cur in
-      (Dkibam.Discretization.is_empty d ~n:n' ~m:m', c')
-    end
+  let got =
+    attempt (fun () ->
+        let fatal = Sched.Bank.draw_from bank b ~cur:sch.cur in
+        (fatal, Sched.Bank.(n_gamma bank b, m_delta bank b, recov_clock bank b)))
   in
-  let got = Sched.Bank.(n_gamma bank b, m_delta bank b, recov_clock bank b) in
-  if fatal <> want_fatal || got <> want then
-    failf "%s: Bank.draw_from %d from %s gives %b and %s, reference %b and %s" label
-      sch.cur (show start) fatal (show got) want_fatal (show want);
-  if Sched.Bank.is_dead bank b <> (dead.(b) || want_fatal) then
-    failf "%s: Bank.draw_from leaves the dead flag wrong" label
+  let n, _, _ = start in
+  let want =
+    if n < sch.cur then Ok (true, start)
+    else
+      attempt (fun () ->
+          let ((n', m', _) as c') = ref_draw d start sch.cur in
+          (Dkibam.Discretization.is_empty d ~n:n' ~m:m', c'))
+  in
+  let show_draw (fatal, cell) = Printf.sprintf "%b and %s" fatal (show cell) in
+  if got <> want then
+    failf "%s: Bank.draw_from %d from %s gives %s, reference %s" label sch.cur
+      (show start) (show_outcome show_draw got) (show_outcome show_draw want);
+  match want with
+  | Ok (want_fatal, _) ->
+      if Sched.Bank.is_dead bank b <> (dead.(b) || want_fatal) then
+        failf "%s: Bank.draw_from leaves the dead flag wrong" label
+  | Error _ -> ()
 
 (* States on eq. (8)'s boundary right after one draw:
    (1000 - c_milli) m = c_milli n exactly, so emptiness must hold with
@@ -519,9 +569,10 @@ let boundary_cases (d : Dkibam.Discretization.t) =
 let test_span_matches_per_draw () =
   let g = gen 6L in
   let fatal_short = ref 0 and fatal_empty = ref 0 and completed = ref 0 in
-  let on_boundary = ref 0 in
+  let on_boundary = ref 0 and past_n = ref 0 and fresh = ref 0 and overdue = ref 0 in
+  let long_idle = ref 0 and wide_cur = ref 0 and no_cadence = ref 0 in
   List.iter
-    (fun (dname, d) ->
+    (fun (dname, (d : Dkibam.Discretization.t)) ->
       List.iter
         (fun (state, cur) ->
           let sch = { Loads.Cursor.ct = 0; cur; draws = 1 + Prng.Splitmix.int g 3; rest = 7 } in
@@ -547,39 +598,74 @@ let test_span_matches_per_draw () =
             ~dead
         in
         let ref_cells = Array.copy cells and ref_dead = Array.copy dead in
-        let expected = ref_serve d ref_cells ref_dead ~b sch in
-        let got = Sched.Bank.serve bank ~b sch in
+        let expected = attempt (fun () -> ref_serve d ref_cells ref_dead ~b sch) in
+        let got = attempt (fun () -> Sched.Bank.serve bank ~b sch) in
         let label =
           Printf.sprintf "%s round %d (%d batteries, b=%d, ct=%d cur=%d draws=%d rest=%d)"
             dname round size b sch.ct sch.cur sch.draws sch.rest
         in
         check_entry_points label d cells dead ~b sch ~k:(Prng.Splitmix.int g 400);
-        if got <> expected then failf "%s: outcome differs from the per-draw loop" label;
-        (match expected with
-        | Sched.Bank.Completed -> incr completed
-        | Sched.Bank.Died _ ->
-            let n, _, _ = ref_cells.(b) in
-            if n < sch.cur then incr fatal_short else incr fatal_empty);
-        Array.iteri
-          (fun i (n, m, clock) ->
-            let bat = Sched.Bank.battery bank i in
-            if
-              bat.Dkibam.Battery.n_gamma <> n
-              || bat.Dkibam.Battery.m_delta <> m
-              || bat.Dkibam.Battery.recov_clock <> clock
-            then
-              failf "%s: battery %d is (%d, %d, %d), per-draw loop (%d, %d, %d)" label i
-                bat.n_gamma bat.m_delta bat.recov_clock n m clock;
-            if Sched.Bank.is_dead bank i <> ref_dead.(i) then
-              failf "%s: battery %d dead flag differs" label i)
-          ref_cells
+        let show_served = function
+          | Sched.Bank.Completed -> "completed"
+          | Sched.Bank.Died s -> Printf.sprintf "died after %d steps" s
+        in
+        if got <> expected then
+          failf "%s: Bank.serve %s, per-draw loop %s" label (show_outcome show_served got)
+            (show_outcome show_served expected);
+        let n0, m0, clock0 = cells.(b) in
+        if sch.draws > 0 then begin
+          if m0 = 0 then incr fresh;
+          if m0 >= 2 && clock0 >= d.recov_time.(m0) then incr overdue;
+          if m0 = 1 && clock0 > 1_000_000 then incr long_idle;
+          if sch.cur > Dkibam.Discretization.max_draw_cur then incr wide_cur;
+          if sch.ct = 0 && n0 >= sch.cur then incr no_cadence
+        end;
+        match expected with
+        | Error _ -> incr past_n
+        | Ok outcome ->
+            (match outcome with
+            | Sched.Bank.Completed -> incr completed
+            | Sched.Bank.Died _ ->
+                let n, _, _ = ref_cells.(b) in
+                if n < sch.cur then incr fatal_short else incr fatal_empty);
+            Array.iteri
+              (fun i (n, m, clock) ->
+                let bat = Sched.Bank.battery bank i in
+                if
+                  bat.Dkibam.Battery.n_gamma <> n
+                  || bat.Dkibam.Battery.m_delta <> m
+                  || bat.Dkibam.Battery.recov_clock <> clock
+                then
+                  failf "%s: battery %d is (%d, %d, %d), per-draw loop (%d, %d, %d)" label i
+                    bat.n_gamma bat.m_delta bat.recov_clock n m clock;
+                if Sched.Bank.is_dead bank i <> ref_dead.(i) then
+                  failf "%s: battery %d dead flag differs" label i)
+              ref_cells
       done)
     kernel_discs;
-  (* the generator must reach every ending: completion, the lacking-units
-     fatal draw and the eq. (8) fatal draw, on its boundary too *)
-  if !completed = 0 || !fatal_short = 0 || !fatal_empty = 0 || !on_boundary = 0 then
-    failf "span cases not all reached (completed %d, short %d, empty %d, boundary %d)"
-      !completed !fatal_short !fatal_empty !on_boundary
+  (* the grids must cover both kernel paths: timeline tables on B1, B2
+     and the coarse grid, none past the cap *)
+  List.iter
+    (fun (dname, d) ->
+      let has = (Dkibam.Discretization.timeline d).span >= 0 in
+      if has <> (d != past_cap) then
+        failf "%s: timeline %s" dname (if has then "built past the cap" else "missing"))
+    kernel_discs;
+  (* the generator must reach every ending — completion, the
+     lacking-units fatal draw, the eq. (8) fatal draw (on its boundary
+     too) and a draw past N — and every start the timeline hands to the
+     event loop or treats apart *)
+  let reached =
+    [
+      ("completed", !completed); ("short", !fatal_short); ("empty", !fatal_empty);
+      ("boundary", !on_boundary); ("past N", !past_n); ("fresh m = 0", !fresh);
+      ("overdue", !overdue); ("m = 1, long idle", !long_idle);
+      ("cur past the tables", !wide_cur); ("ct = 0", !no_cadence);
+    ]
+  in
+  List.iter
+    (fun (what, count) -> if count = 0 then failf "span case %S never reached" what)
+    reached
 
 let test_negative_counts_refused () =
   let d = Dkibam.Discretization.paper_b1 in
@@ -620,8 +706,95 @@ let test_tick_composes () =
              tick %d gives (%d, %d), reference (%d, %d)"
             dname round m clock a b split.m split.clock (a + b) whole.m whole.clock
             rm rclock
-      done)
+      done;
+      (* counts near max_int wrap the clock in the reference; the
+         kernel must wrap it the same way *)
+      List.iter
+        (fun start ->
+          List.iter
+            (fun k ->
+              let c = cell_of start in
+              Dkibam.Kernel.tick d c k;
+              if triple c <> ref_tick d start k then
+                failf "%s: tick %d from %s gives %s, reference %s" dname k (show start)
+                  (show (triple c)) (show (ref_tick d start k));
+              let c = cell_of start in
+              let fatal = Dkibam.Kernel.serve d c ~ct:k ~cur:1 ~draws:1 ~rest:k in
+              let want = ref_span d start { Loads.Cursor.ct = k; cur = 1; draws = 1; rest = k } in
+              if (fatal, triple c) <> want then
+                failf "%s: serve ~ct:%d ~rest:%d from %s gives %s, per-draw loop %s" dname
+                  k k (show start) (show_span (fatal, triple c)) (show_span want))
+            [ max_int; max_int - 3; max_int / 4; (max_int / 4) - 1 ])
+        [ (d.n_units, 1, 1_000_000_000_000); (d.n_units / 2, 5, 0); (d.n_units, 0, 7) ])
     kernel_discs
+
+(* Warm kernel calls allocate nothing: 10^5 rounds of [serve], [tick]
+   and [draw] on B1, on the timeline and through each event-loop
+   fallback (a fresh cell, an overdue clock, a [cur] past the tables),
+   leave the minor heap's allocation counter where it was. *)
+let test_kernel_allocates_nothing () =
+  let d = Dkibam.Discretization.paper_b1 in
+  let c = { Dkibam.Kernel.n = 0; m = 0; clock = 0 } in
+  let round () =
+    c.n <- 500;
+    c.m <- 37;
+    c.clock <- 2;
+    ignore (Dkibam.Kernel.serve d c ~ct:4 ~cur:1 ~draws:3 ~rest:5);
+    ignore (Dkibam.Kernel.serve d c ~ct:2 ~cur:3 ~draws:2 ~rest:0);
+    Dkibam.Kernel.tick d c 17;
+    Dkibam.Kernel.draw d c ~cur:2;
+    c.m <- 0;
+    ignore (Dkibam.Kernel.serve d c ~ct:4 ~cur:1 ~draws:3 ~rest:5);
+    c.clock <- d.recov_time.(c.m) + 3;
+    ignore (Dkibam.Kernel.serve d c ~ct:1 ~cur:2 ~draws:2 ~rest:1);
+    ignore (Dkibam.Kernel.serve d c ~ct:1 ~cur:7 ~draws:2 ~rest:1)
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    round ()
+  done;
+  let after = Gc.minor_words () in
+  if after <> before then
+    failf "10^5 warm kernel rounds allocated %.0f minor words" (after -. before)
+
+(* A discretization nobody has used yet, served from two domains at
+   once: both build (or find) its timeline tables, and both agree with
+   a serial run on another fresh copy and with the reference. *)
+let test_fresh_disc_two_domains () =
+  let g = gen 9L in
+  let serial_disc = Dkibam.Discretization.make Kibam.Params.b1 in
+  let cases =
+    Array.init 3000 (fun _ ->
+        let n, m, clock = random_state g serial_disc in
+        let m = min m (serial_disc.n_units - n) in
+        let sch = random_schedule g in
+        ((n, m, clock), sch))
+  in
+  let run d =
+    Array.map
+      (fun (state, (sch : Loads.Cursor.schedule)) ->
+        let c = cell_of state in
+        let fatal =
+          Dkibam.Kernel.serve d c ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws ~rest:sch.rest
+        in
+        (fatal, triple c))
+      cases
+  in
+  let fresh = Dkibam.Discretization.make Kibam.Params.b1 in
+  let a = Domain.spawn (fun () -> run fresh) and b = Domain.spawn (fun () -> run fresh) in
+  let ra = Domain.join a and rb = Domain.join b in
+  let serial = run serial_disc in
+  Array.iteri
+    (fun i (state, sch) ->
+      let want = ref_span serial_disc state sch in
+      if serial.(i) <> want then
+        failf "case %d: serial run gives %s, per-draw loop %s" i (show_span serial.(i))
+          (show_span want);
+      if ra.(i) <> serial.(i) || rb.(i) <> serial.(i) then
+        failf "case %d from %s: domains give %s and %s, serial %s" i (show state)
+          (show_span ra.(i)) (show_span rb.(i)) (show_span serial.(i)))
+    cases
 
 let test_trace_same_run () =
   let g = gen 8L in
@@ -736,6 +909,10 @@ let () =
           Alcotest.test_case "negative counts refused" `Quick
             test_negative_counts_refused;
           Alcotest.test_case "tick composes" `Quick test_tick_composes;
+          Alcotest.test_case "kernel allocates nothing" `Quick
+            test_kernel_allocates_nothing;
+          Alcotest.test_case "fresh discretization, two domains" `Quick
+            test_fresh_disc_two_domains;
           Alcotest.test_case "traced run = untraced run" `Quick
             test_trace_same_run;
         ] );

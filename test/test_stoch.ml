@@ -114,6 +114,77 @@ let test_env_compiles () =
       (Loads.Epoch.epochs load)
   done
 
+(* A model's realized chain rendered straight into the integer arrays
+   equals [Loads.Arrays.make] of the same trace rendered as epochs, bit
+   for bit — exceptions included — on random models and four grids: the
+   paper's, a coarse one, one that cannot encode a current, and one the
+   slot is off. *)
+let test_arrays_match_epochs () =
+  let g = Prng.Splitmix.create (Int64.add chaos_seed 31L) in
+  let grids = [ (0.01, 0.01); (0.25, 0.05); (0.01, 0.01); (0.01, 0.01) ] in
+  let outcome f =
+    match f () with
+    | (a : Loads.Arrays.t) -> Ok a
+    | exception Loads.Arrays.Not_representable msg -> Error msg
+  in
+  let errors = ref 0 in
+  List.iteri
+    (fun gi (time_step, charge_unit) ->
+      (* grid 2 gets a current off every exact fraction, grid 3 a slot
+         off the time grid *)
+      let odd_current = if gi = 2 then [| 0.3141592653589793 |] else [||] in
+      let slot = if gi = 3 then 1.005 else 1.0 in
+      for k = 0 to 11 do
+        let p () = 0.05 +. Prng.Splitmix.float g 0.9 in
+        let currents =
+          Array.append odd_current
+            (Array.init (1 + Prng.Splitmix.int g 3) (fun _ ->
+                 0.25 *. float_of_int (1 + Prng.Splitmix.int g 6)))
+        in
+        let slots = 1 + Prng.Splitmix.int g 60 in
+        let model =
+          if k mod 2 = 0 then
+            Sched.Montecarlo.Onoff
+              (Stoch.Onoff.make ~p_on:(p ()) ~p_off:(p ()) ~currents ~slot ~slots ())
+          else
+            Sched.Montecarlo.Env
+              (Stoch.Env.make
+                 ~levels:(Array.append [| 0.0 |] (Array.of_list (List.sort_uniq compare (Array.to_list currents))))
+                 ~mean_dwell:(1.0 +. Prng.Splitmix.float g 6.0) ~slot ~slots ())
+        in
+        for i = 0 to 49 do
+          let seed = Prng.Splitmix.split chaos_seed ((100 * k) + i) in
+          let direct =
+            outcome (fun () ->
+                match model with
+                | Sched.Montecarlo.Onoff m -> Stoch.Onoff.arrays m ~seed ~time_step ~charge_unit
+                | Sched.Montecarlo.Env m -> Stoch.Env.arrays m ~seed ~time_step ~charge_unit)
+          in
+          let via_epochs =
+            outcome (fun () ->
+                Loads.Arrays.make ~time_step ~charge_unit
+                  (Sched.Montecarlo.sample_load model ~seed))
+          in
+          if compare direct via_epochs <> 0 then
+            failf "grid %d, %s model %d, lane %d: direct arrays differ from the epochs'" gi
+              (Sched.Montecarlo.model_name model) k i;
+          if Result.is_error direct then incr errors
+        done
+      done)
+    grids;
+  if !errors = 0 then failf "no case raised Not_representable";
+  (* and Montecarlo's own sampler, at the paper grid *)
+  let model = Sched.Montecarlo.Onoff (Stoch.Onoff.make ~slots:40 ()) in
+  for i = 0 to 99 do
+    let seed = Prng.Splitmix.split chaos_seed i in
+    if
+      compare
+        (Sched.Montecarlo.sample_arrays model ~seed Dkibam.Discretization.paper_b1)
+        (paper_grid (Sched.Montecarlo.sample_load model ~seed))
+      <> 0
+    then failf "Montecarlo.sample_arrays differs on lane %d" i
+  done
+
 let test_generator_validation () =
   let rejects what f =
     match f () with
@@ -438,6 +509,8 @@ let () =
             test_onoff_compiles;
           Alcotest.test_case "env compiles to Spec/Arrays" `Quick
             test_env_compiles;
+          Alcotest.test_case "arrays = Arrays.make of the epochs" `Quick
+            test_arrays_match_epochs;
           Alcotest.test_case "validation" `Quick test_generator_validation;
         ] );
       ( "sketch",
