@@ -160,10 +160,17 @@ type serve_outcome = Completed | Died of int
    other battery (dead ones keep recovering) then advances once by the
    span's elapsed steps, which recovery's composition law makes exactly
    the per-draw interleaving. *)
-let serve t ~b (sch : Loads.Cursor.schedule) =
+let serve ?cache t ~b (sch : Loads.Cursor.schedule) =
   let fatal =
-    Dkibam.Kernel.serve t.disc (load t b) ~ct:sch.ct ~cur:sch.cur
-      ~draws:sch.draws ~rest:sch.rest
+    match cache with
+    | None ->
+        Dkibam.Kernel.serve t.disc (load t b) ~ct:sch.ct ~cur:sch.cur
+          ~draws:sch.draws ~rest:sch.rest
+    | Some k ->
+        if Dkibam.Span_cache.disc k != t.disc then
+          invalid_arg "Sched.Bank.serve: the cache serves another discretization";
+        Dkibam.Span_cache.serve k (load t b) ~ct:sch.ct ~cur:sch.cur
+          ~draws:sch.draws ~rest:sch.rest
   in
   store t b;
   let steps =

@@ -102,7 +102,9 @@ type serve_outcome =
           many steps after the span's first step; the trailing steps have
           {e not} been ticked — hand-over timing is the driver's call *)
 
-val serve : t -> b:int -> Loads.Cursor.schedule -> serve_outcome
+val serve :
+  ?cache:Dkibam.Span_cache.t -> t -> b:int -> Loads.Cursor.schedule ->
+  serve_outcome
 (** [serve t ~b sch]: battery [b] serves the span described by [sch] —
     for each scheduled draw, the whole bank recovers [sch.ct] steps and
     [b] serves the draw as in {!draw_from}; after the last draw the bank
@@ -111,4 +113,11 @@ val serve : t -> b:int -> Loads.Cursor.schedule -> serve_outcome
     battery, so a span costs O(batteries + draws) with no per-draw
     allocation.  A caller that must observe states inside a span
     (trace sampling) cuts it into sub-spans of the same schedule
-    type. *)
+    type.
+
+    [cache] answers [b]'s kernel call from a {!Dkibam.Span_cache}
+    (the other batteries' recovery jumps are never cached); the
+    outcome is the same.  It must serve this bank's discretization
+    ([Invalid_argument] otherwise).  Only the planner's window
+    segments pass one: its windows repeat spans across decisions,
+    while the exact search and the simulator rarely do. *)

@@ -122,7 +122,8 @@ let build_hulls cursor ~min_units_after =
     Some { px; py; pe; first; off; len; hull; g_max = lim / steps }
   end
 
-let create ?(switch_delay = 1) ?(allow_final_draw_skip = false) disc cursor =
+let create ?(switch_delay = 1) ?(allow_final_draw_skip = false)
+    ?(hull_tree = true) disc cursor =
   let e_count = Loads.Cursor.epoch_count cursor in
   let skip01 = if allow_final_draw_skip then 1 else 0 in
   let min_units_after = Array.make (e_count + 1) 0 in
@@ -136,7 +137,8 @@ let create ?(switch_delay = 1) ?(allow_final_draw_skip = false) disc cursor =
     max_cur_after.(e) <- max max_cur_after.(e + 1) sch.cur
   done;
   { disc; cursor; switch_delay; skip01; min_units_after; draws_after;
-    max_cur_after; hulls = build_hulls cursor ~min_units_after }
+    max_cur_after;
+    hulls = (if hull_tree then build_hulls cursor ~min_units_after else None) }
 
 (* Least [e] in [lo, hi] with [base - suffix.(e + 1) >= need]: a
    suffix sum falls with [e], so the test is false then true; callers

@@ -54,13 +54,19 @@ type t
 val create :
   ?switch_delay:int ->
   ?allow_final_draw_skip:bool ->
+  ?hull_tree:bool ->
   Dkibam.Discretization.t ->
   Loads.Cursor.t ->
   t
 (** Defaults mirror {!Optimal.search}: [switch_delay = 1],
     [allow_final_draw_skip = false].  The flags matter: the skip widens
     the demand envelope (each epoch may serve one draw less), the delay
-    sizes the per-death draw-loss slack. *)
+    sizes the per-death draw-loss slack.  [hull_tree] (default [true])
+    builds the availability bound's hull tree; with [false] the
+    O(E log E) build is skipped and {!avail_ub} and {!lifetime_ub}
+    scan the remaining epochs instead, with the same values — for a
+    caller that asks only {!lifetime_lb}, as the Horizon planner's
+    windows do. *)
 
 val infinite : int
 (** Sentinel for "no finite bound": the batteries cannot be forced dead

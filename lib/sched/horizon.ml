@@ -17,7 +17,6 @@ type fallback = Best_of | Round_robin
 type entry = {
   e_cursor : Loads.Cursor.t;
   e_switch_delay : int;
-  e_bounds : bool option;
   e_shared : Memo.scope option;
   e_planner : Optimal.planner;
   e_job_epochs : int array;  (* epoch index of each job, in order *)
@@ -29,12 +28,11 @@ let cache : entry list ref Domain.DLS.key =
 
 let cache_cap = 8
 
-let entry_for ~switch_delay ~bounds ~shared (disc : Dkibam.Discretization.t)
+let entry_for ~switch_delay ~shared (disc : Dkibam.Discretization.t)
     (cursor : Loads.Cursor.t) =
   let slot = Domain.DLS.get cache in
   let hit e =
     e.e_cursor == cursor && e.e_switch_delay = switch_delay
-    && e.e_bounds = bounds
     &&
     match (e.e_shared, shared) with
     | None, None -> true
@@ -57,9 +55,8 @@ let entry_for ~switch_delay ~bounds ~shared (disc : Dkibam.Discretization.t)
         {
           e_cursor = cursor;
           e_switch_delay = switch_delay;
-          e_bounds = bounds;
           e_shared = shared;
-          e_planner = Optimal.planner ~switch_delay ?bounds ?shared disc cursor;
+          e_planner = Optimal.planner ~switch_delay ?shared disc cursor;
           e_job_epochs = job_epochs;
           e_epoch_count = epoch_count;
         }
@@ -82,7 +79,7 @@ let cyclic (ctx : Policy.decision_context) =
   in
   find (ctx.job_index mod n) 0
 
-let policy ?(switch_delay = 1) ?bounds ?shared ?budget_segments
+let policy ?(switch_delay = 1) ?shared ?budget_segments
     ?(fallback = Best_of) ~k () =
   if k < 1 then invalid_arg "Sched.Horizon.policy: k must be >= 1";
   (match budget_segments with
@@ -97,7 +94,7 @@ let policy ?(switch_delay = 1) ?bounds ?shared ?budget_segments
           invalid_arg
             "Sched.Horizon: this driver provides no load cursor to plan over"
     in
-    let e = entry_for ~switch_delay ~bounds ~shared ctx.disc cursor in
+    let e = entry_for ~switch_delay ~shared ctx.disc cursor in
     (* Window: jobs [job_index .. job_index + k - 1]; the frontier is the
        epoch of job [job_index + k], or past the load when fewer jobs
        remain (then the plan is the exact optimal suffix search). *)

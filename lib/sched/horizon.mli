@@ -6,8 +6,8 @@
     jobs — sits the classic planning compromise (Fox, Long & Magazzeni's
     plan-based battery policies): at every scheduling point, search the
     next [k] jobs {e exactly} with the {!Optimal.plan} machinery
-    (memoization + {!Bound} branch-and-bound over the truncated load
-    suffix), score the window frontier with the admissible
+    (the exact search's memoized core over the truncated load suffix),
+    score the window frontier with the admissible
     pooled-recovery lower bound {!Bound.lifetime_lb}, commit only the
     first battery assignment, and re-plan at the next decision point.
     Because the terminal value is a {e lower} bound, every committed
@@ -42,7 +42,6 @@ type fallback =
 
 val policy :
   ?switch_delay:int ->
-  ?bounds:bool ->
   ?shared:Memo.scope ->
   ?budget_segments:int ->
   ?fallback:fallback ->
@@ -51,18 +50,23 @@ val policy :
   Policy.t
 (** [policy ~k ()]: plan [k >= 1] jobs ahead at every scheduling point.
     [switch_delay] must match the simulation it runs under (default 1,
-    as everywhere).  [bounds] arms the in-window branch-and-bound cuts
-    (default: on unless [BATSCHED_NO_BOUNDS] is set); decisions are
-    bit-identical either way.  [shared] backs the per-run planner memo
-    with a process-wide {!Memo} scope (see {!Optimal.planner}) — window
-    values are exact, so warmth from other runs or domains changes only
-    the work, never a decision; the caller must fingerprint the scope
-    on everything that shapes the values (load, battery, switch delay),
-    as the daemon does.  [budget_segments] caps the work of each
-    single decision ([Guard.Budget], one unit per simulated segment) —
-    a segment-count cap trips at deterministic points, so the fallback
+    as everywhere).  Window searches ask no upper bound, so
+    [BATSCHED_NO_BOUNDS] does not reach them.  [shared] backs the
+    per-run planner memo with a process-wide {!Memo} scope, which the
+    planner narrows by its own load, discretization and switch delay
+    (see {!Optimal.planner}), so one scope may serve every load —
+    window values are exact, so warmth from other runs or domains
+    changes only the work, never a decision.  [budget_segments] caps
+    the work of each single decision ([Guard.Budget], one unit per
+    window segment, whether the span cache answers it or not) — a
+    segment-count cap trips at deterministic points, so the fallback
     decisions are reproducible bit-for-bit {e given the same memo
-    warmth}; on a trip the decision falls back to [fallback].  The
+    warmth}; on a trip the decision falls back to [fallback].  Plans
+    that memoize only positions with three or more jobs left
+    ({!Optimal.plan}) run more segments than plans that memoized every
+    position, so a given budget trips earlier than it did for those:
+    a budgeted decision may fall back where it once did not.
+    Unbudgeted decisions are the same.  The
     policy raises [Invalid_argument] under a driver that supplies no
     load cursor (see {!Policy.decision_context}). *)
 

@@ -109,6 +109,7 @@ let with_lock lock f =
 type scope = { s_t : t; s_fp : string }
 
 let scope t ~fingerprint = { s_t = t; s_fp = fingerprint }
+let narrow s tag = { s with s_fp = s.s_fp ^ "|" ^ tag }
 let scope_equal a b = a.s_t == b.s_t && String.equal a.s_fp b.s_fp
 
 let find scope cells =

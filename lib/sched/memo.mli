@@ -53,6 +53,13 @@ val scope : t -> fingerprint:string -> scope
     values depend on (the checkpoint-layer input fingerprint, for full
     searches). *)
 
+val narrow : scope -> string -> scope
+(** [narrow s tag]: the same store, under [s]'s fingerprint extended by
+    [tag] — for a callee that keys its entries on inputs its caller's
+    fingerprint does not cover, as {!Optimal.planner} narrows a scope
+    by its own load.  A fixed-length [tag] (a digest) keeps two
+    narrowings of different scopes disjoint. *)
+
 val scope_equal : scope -> scope -> bool
 (** Same store (physically) and same fingerprint — the test cached
     planner entries use to decide reuse. *)

@@ -72,13 +72,13 @@ let rec advance_to_job cursor y bank =
    exactly on the epoch's last step — the go_off/use_charge race the
    published TA leaves open (see mli); the cursor folds it into the
    schedule. *)
-let run_segment cursor ~switch_delay ~skip_final pos b =
+let run_segment ?cache cursor ~switch_delay ~skip_final pos b =
   let y = pos.y in
   let len = Loads.Cursor.epoch_len cursor y in
   let start = Loads.Cursor.epoch_start cursor y in
   let bank = Bank.copy pos.bank in
   let sch = Loads.Cursor.schedule_from ~skip_final cursor y ~local:pos.local in
-  match Bank.serve bank ~b sch with
+  match Bank.serve ?cache bank ~b sch with
   | Bank.Completed -> advance_to_job cursor (y + 1) bank
   | Bank.Died off ->
       let next = pos.local + off in
@@ -136,6 +136,9 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
+(* The key of a position the core does not memoize. *)
+let unkeyed : Key.t = [||]
+
 (* Checkpoint framing (Guard.Checkpoint does the atomic write and the
    checksum; see doc/ROBUSTNESS.md).  The fingerprint digests every
    input the memo values depend on, so a snapshot from a different
@@ -181,8 +184,8 @@ let fingerprint ~switch_delay ~objective ~allow_final_draw_skip ~initial
 
 type work = {
   mutable segments : int;
-  mutable pruned : int;
-  mutable misses : int;
+  mutable pruned : int;  (** memo hits *)
+  mutable misses : int;  (** positions explored *)
   mutable cuts : int;
 }
 
@@ -202,6 +205,12 @@ type core = {
   floor : pos -> int;
       (** achievable floor seeding a node's best value; never above
           [ub] *)
+  span : Dkibam.Span_cache.t option;
+      (** the serving battery's span cache, for plan segments *)
+  jobs_before : int array;  (** epoch [e] -> job epochs before [e] *)
+  memo_jobs : int;
+      (** memoize only positions with at least this many job epochs
+          before the frontier; [0]: every position *)
   key : pos -> Key.t;
   table : int Tbl.t;
   shared : Memo.scope option;
@@ -245,6 +254,11 @@ let publish c =
   | None -> ());
   c.pending := []
 
+(* Whether the core memoizes position [p] (see [memo_jobs]). *)
+let memoized c (p : pos) =
+  c.memo_jobs = 0
+  || c.jobs_before.(c.frontier) - c.jobs_before.(p.y) >= c.memo_jobs
+
 let choices c (p : pos) =
   List.concat_map
     (fun b -> if c.try_skip then [ (b, false); (b, true) ] else [ (b, false) ])
@@ -283,13 +297,14 @@ let rec value c ~depth ~seed ~on_child key p =
   done;
   (* a decision point always has at least one alive battery *)
   assert (!best > min_int);
-  store c key !best;
+  if key != unkeyed then store c key !best;
   !best
 
 (* [child c ~depth best p b skip_final]: serve from [p] with battery
    [b] up to the next decision point, then value the outcome — a death
    by its score, a frontier position by [terminal], a continuation past
-   the load by [outlived], an explored position by its memo entry.
+   the load by [outlived], an explored position by its memo entry
+   when [memoized] keys it.
    Memoized children are looked up before the bound check, so hit/miss
    counts match the unpruned search exactly.  A miss whose upper bound
    cannot beat [best] is cut: its value is [<= ub <= best], so the
@@ -303,14 +318,17 @@ let rec value c ~depth ~seed ~on_child key p =
 and child c ~depth best p b skip_final =
   c.work.segments <- c.work.segments + 1;
   c.charge ();
-  match run_segment c.cursor ~switch_delay:c.switch_delay ~skip_final p b with
+  match
+    run_segment ?cache:c.span c.cursor ~switch_delay:c.switch_delay
+      ~skip_final p b
+  with
   | Terminal (step, stranded) -> c.score step stranded
   | Exhausted -> c.outlived ()
   | Next p' -> (
       if p'.y >= c.frontier then c.terminal p'
       else
-        let key = c.key p' in
-        match lookup c key with
+        let key = if memoized c p' then c.key p' else unkeyed in
+        match if key == unkeyed then None else lookup c key with
         | Some v ->
             c.work.pruned <- c.work.pruned + 1;
             v
@@ -483,6 +501,9 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
       score;
       ub;
       floor;
+      span = None;
+      jobs_before = [||];
+      memo_jobs = 0;
       key = Key.of_pos;
       table;
       shared =
@@ -716,35 +737,70 @@ let lifetime ?pool ?budget ?switch_delay ?objective ?bounds
 
 type planner = {
   p_cursor : Loads.Cursor.t;
-  p_bound : Bound.t;
-  p_bounds_on : bool;
+  p_bound : Bound.t;  (* asked for [lifetime_lb] only *)
   p_switch_delay : int;
+  p_jobs_before : int array;
   (* Memo entries are exact window values; the frontier epoch is part of
      the key because the same position has a different value under a
      different window.  Successive plans at the same frontier (mid-job
      replans, and every plan once the window covers the whole load)
      therefore share subtrees across decisions. *)
   p_memo : int Tbl.t;
-  (* Cross-planner shared store: window values under the same scope
-     fingerprint (load + pack + switch delay) are exact, so re-plans
-     from different requests — and different worker domains — reuse
-     each other's subtrees. *)
+  (* Cross-planner shared store, narrowed to this load, discretization
+     and switch delay: window values there are exact, so re-plans from
+     different requests — and different worker domains — reuse each
+     other's subtrees, and planners of other loads never see them. *)
   p_shared : Memo.scope option;
 }
 
 type plan = { plan_choice : int; plan_value : int }
 
-let planner ?(switch_delay = 1) ?bounds ?shared (disc : Dkibam.Discretization.t)
+(* Observability: each plan's [work], synced once per plan as the
+   search syncs [optimal.*]. *)
+let c_plan_segments = Obs.counter "horizon.segments"
+let c_plan_positions = Obs.counter "horizon.positions"
+let c_plan_memo_hits = Obs.counter "horizon.memo_hits"
+let c_span_hits = Obs.counter "horizon.span_hits"
+let c_span_misses = Obs.counter "horizon.span_misses"
+
+(* A plan memoizes a position only when at least this many jobs are
+   left before its frontier.  Most window positions have one or two
+   (78 % of them on perfbench's Horizon loads at k = 4), their subtrees
+   are a few segments that the span cache mostly answers, and keying,
+   hashing and storing each costs more than re-serving it.  Deeper
+   positions root subtrees worth keeping: with no plan memo at all,
+   test_horizon's full-window cases run about eight times longer. *)
+let plan_memo_jobs = 3
+
+let planner ?(switch_delay = 1) ?shared (disc : Dkibam.Discretization.t)
     (cursor : Loads.Cursor.t) =
-  let bounds_on = match bounds with Some b -> b | None -> bounds_default () in
+  let e_count = Loads.Cursor.epoch_count cursor in
+  let jobs_before = Array.make (e_count + 1) 0 in
+  for e = 0 to e_count - 1 do
+    jobs_before.(e + 1) <-
+      (jobs_before.(e) + if Loads.Cursor.is_idle cursor e then 0 else 1)
+  done;
   {
     p_cursor = cursor;
     p_bound =
-      Bound.create ~switch_delay ~allow_final_draw_skip:false disc cursor;
-    p_bounds_on = bounds_on;
+      Bound.create ~switch_delay ~allow_final_draw_skip:false ~hull_tree:false
+        disc cursor;
     p_switch_delay = switch_delay;
+    p_jobs_before = jobs_before;
     p_memo = Tbl.create 1024;
-    p_shared = shared;
+    p_shared =
+      Option.map
+        (fun s ->
+          Memo.narrow s
+            ("plan|"
+            ^ Digest.to_hex
+                (Digest.string
+                   (Marshal.to_string
+                      ( Dkibam.Discretization.fields disc,
+                        Loads.Cursor.arrays cursor,
+                        switch_delay )
+                      []))))
+        shared;
   }
 
 let plan ?budget t ~frontier_epoch ~y ~local bank =
@@ -762,7 +818,14 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
      committing the argmax is well-founded.  Plan nodes stay unseeded:
      the search's floor [lifetime_lb] is exact there only because every
      continuation runs to a death, while a window value may come from
-     the frontier bound instead. *)
+     the frontier bound instead.  Nor is any child cut: a cut needs an
+     upper bound on the death step at or below the best sibling, and
+     window values are mostly terminal lower bounds, far below any such
+     bound (11 cuts for 15,918 queries on perfbench's Horizon loads). *)
+  let span = Dkibam.Span_cache.for_domain (Bank.disc bank) in
+  let hits0 = Dkibam.Span_cache.hits span
+  and misses0 = Dkibam.Span_cache.misses span in
+  let work = fresh_work () in
   let c =
     {
       cursor;
@@ -775,12 +838,11 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
       terminal = (fun p -> Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank);
       outlived = (fun () -> Bound.infinite);
       score = (fun step _ -> step);
-      ub =
-        (if t.p_bounds_on then (fun p ->
-           let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
-           if ub < Bound.infinite then ub else max_int)
-         else no_cut);
+      ub = no_cut;
       floor = (fun _ -> min_int);
+      span = Some span;
+      jobs_before = t.p_jobs_before;
+      memo_jobs = plan_memo_jobs;
       key = Key.framed ~frontier:frontier_epoch;
       table = t.p_memo;
       shared = t.p_shared;
@@ -790,8 +852,15 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
         | Some b -> fun () -> Guard.Budget.charge_segment_exn b
         | None -> ignore);
       on_miss = ignore;
-      work = fresh_work ();
+      work;
     }
+  in
+  let sync () =
+    Obs.add c_plan_segments work.segments;
+    Obs.add c_plan_positions work.misses;
+    Obs.add c_plan_memo_hits work.pruned;
+    Obs.add c_span_hits (Dkibam.Span_cache.hits span - hits0);
+    Obs.add c_span_misses (Dkibam.Span_cache.misses span - misses0)
   in
   let root = { y; local; bank } in
   let choice = ref (-1) and best = ref min_int in
@@ -802,9 +871,13 @@ let plan ?budget t ~frontier_epoch ~y ~local bank =
           best := v;
           choice := b
         end)
-      (c.key root) root
+      (if memoized c root then c.key root else unkeyed)
+      root
   with
   | v ->
+      sync ();
       publish c;
       Some { plan_choice = !choice; plan_value = v }
-  | exception Guard.Budget.Tripped _ -> None
+  | exception Guard.Budget.Tripped _ ->
+      sync ();
+      None

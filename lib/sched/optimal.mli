@@ -31,7 +31,8 @@
     by lifetime, with every node seeded by its achievable floor.  Its
     serial root, its pooled root branches, its schedule replay and the
     planner's root choice all step through that core, so the two
-    searches explore, cut and break ties identically.
+    searches break ties identically; a plan asks fewer questions of it
+    (see {!plan}), which changes its work and never its values.
 
     The hand-over semantics (including the one-step switch delay) are
     exactly those of {!Simulator}, so an optimal schedule replayed through
@@ -261,8 +262,8 @@ val score_ub : objective -> Bound.t -> y:int -> local:int -> Bank.t -> int
 (** {2 Suffix planning with a terminal bound}
 
     The search core of the receding-horizon policy ({!Horizon}): the
-    exact search's own memoized, bound-pruned core, run over a
-    {e window} of the load —
+    exact search's own memoized depth-first core, run over a {e window}
+    of the load —
     from an arbitrary decision point up to a frontier epoch — with the
     admissible pooled-recovery lower bound of {!Bound.lifetime_lb} as
     the terminal value at the frontier.  Every window value is a death
@@ -270,7 +271,16 @@ val score_ub : objective -> Bound.t -> y:int -> local:int -> Bank.t -> int
     survival past the load is proven), so committing the argmax choice
     is well-founded: the system is {e guaranteed} to be able to live at
     least [plan_value] steps after the commitment.  doc/PLANNING.md
-    derives the construction. *)
+    derives the construction.
+
+    A plan does only the work a window can use.  It asks no upper
+    bound, so it cuts nothing: window values are mostly terminal lower
+    bounds, far below any death step an upper bound could name.  It
+    memoizes only positions with at least three jobs left before the
+    frontier.  And it serves each segment's battery through the
+    domain's {!Dkibam.Span_cache}, which answers the spans the previous
+    decision's window already served.  None of the three changes a
+    value or a choice. *)
 
 type planner
 (** Per-load planning state: the cursor, the precomputed {!Bound}
@@ -281,23 +291,19 @@ type planner
 
 val planner :
   ?switch_delay:int ->
-  ?bounds:bool ->
   ?shared:Memo.scope ->
   Dkibam.Discretization.t ->
   Loads.Cursor.t ->
   planner
 (** [planner disc cursor] precomputes the bound views of the load
     ([O(epochs)]).  [switch_delay] defaults to 1, matching {!search} and
-    {!Simulator.simulate}.  [bounds] arms the branch-and-bound cuts
-    inside {!plan} (default: on unless [BATSCHED_NO_BOUNDS] is set);
-    planned choices are bit-identical either way — only the work
-    changes.  [shared] backs the private window-value memo with a
-    process-wide {!Memo} scope: window values are exact and
-    frontier-keyed, so planners for the same (load, battery,
-    switch-delay) — concurrent daemon requests re-planning the same
-    windows — may share one scope and stay bit-identical; the caller
-    owns the scope fingerprint and must key it on everything that
-    shapes the values. *)
+    {!Simulator.simulate}.  [shared] backs the private window-value
+    memo with a process-wide {!Memo} store: the planner narrows the
+    scope it is given ({!Memo.narrow}) by a digest of its own load,
+    the discretization's defining fields and the switch delay, so
+    planners of different loads never read each other's values, while
+    planners of the same load — concurrent daemon requests re-planning
+    the same windows — share them and stay bit-identical. *)
 
 type plan = {
   plan_choice : int;  (** the battery to commit at the planning point *)
@@ -321,9 +327,13 @@ val plan :
     terminal bound; first-maximum tie-breaking (lowest battery id), the
     same selection {!search}'s schedule replay makes — with the frontier
     past the load's last epoch the planned choice is exactly the optimal
-    one.  [budget] is charged one unit per simulated segment; [None] is
-    returned if it trips mid-plan (entries memoized before the trip are
-    exact and stay in the planner's private table; only a completed
-    plan publishes its entries to the shared scope).  Raises
-    [Invalid_argument] if [(y, local)] is not inside the load or no
-    battery is alive. *)
+    one.  [budget] is charged one unit per segment, whether the span
+    cache answers it or not; [None] is returned if it trips mid-plan
+    (entries memoized before the trip are exact and stay in the
+    planner's private table; only a completed plan publishes its
+    entries to the shared scope).  Raises [Invalid_argument] if
+    [(y, local)] is not inside the load or no battery is alive.
+
+    Observability: each plan adds its work to [horizon.segments],
+    [horizon.positions], [horizon.memo_hits], [horizon.span_hits] and
+    [horizon.span_misses] (doc/OBSERVABILITY.md). *)

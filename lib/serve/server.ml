@@ -272,26 +272,12 @@ let arrays_of_load (load : Protocol.load_ref) =
       | Ok a -> a
       | Error e -> Guard.Error.raise_exn e)
 
-(* Process-wide memo scope of the planner window values for one (load,
-   battery) pair — everything the values depend on besides the bank
-   itself ([switch_delay] is fixed at 1 for every daemon answer; the
-   battery count is visible in the key cells).  Requests for the same
-   pair share warmth across connections, domains and Horizon re-plans;
-   requests for different pairs are disjoint by construction. *)
-let plan_scope ctx (t : Protocol.target) =
-  (* a spec load by its epochs alone, as in the cache key *)
-  let load =
-    match t.Protocol.load with
-    | Protocol.Spec (epochs, _) -> Protocol.Spec (epochs, "")
-    | named -> named
-  in
-  Memo.scope ctx.memo
-    ~fingerprint:
-      (Digest.to_hex
-         (Digest.string
-            (Marshal.to_string
-               ("plan", load, t.Protocol.battery)
-               [ Marshal.No_sharing ])))
+(* Process-wide memo scope of the planner window values.  Each planner
+   narrows it by its own load, battery and switch delay
+   ([Optimal.planner]), so one scope serves every request: requests for
+   the same (load, battery) pair share warmth across connections,
+   domains and Horizon re-plans, and other pairs never see it. *)
+let plan_scope ctx = Memo.scope ctx.memo ~fingerprint:"plan"
 
 (* First trip of a request: name it for the response, count deadline
    trips separately (the headline robustness metric). *)
@@ -354,6 +340,7 @@ let degraded_schedule cfg ~shared disc arrays ~n_batteries =
                  ~k:cfg.degrade_horizon_k ())))
         sched
 
+(* Each policy's lifetime in minutes ([None]: it outlived the load). *)
 let policy_rows cfg ~shared disc arrays ~n_batteries =
   let horizon_name = Sched.Horizon.name ~k:cfg.degrade_horizon_k () in
   let policies =
@@ -366,19 +353,25 @@ let policy_rows cfg ~shared disc arrays ~n_batteries =
       (horizon_name, Sched.Horizon.policy ~shared ~k:cfg.degrade_horizon_k ());
     ]
   in
-  String.concat ","
-    (List.map
-       (fun (name, policy) ->
-         Printf.sprintf "%s:%s"
-           (Json.to_string (Json.String name))
-           (jlifetime (Simulator.lifetime ~n_batteries ~policy disc arrays)))
-       policies)
+  List.map
+    (fun (name, policy) ->
+      (name, Simulator.lifetime ~n_batteries ~policy disc arrays))
+    policies
 
 let compare_json ctx ?budget ~degrade (t : Protocol.target) =
   let disc = disc_of ctx t.Protocol.battery in
   let arrays = arrays_of_load t.Protocol.load in
   let n_batteries = t.Protocol.n_batteries in
-  let rows = policy_rows ctx.cfg ~shared:(plan_scope ctx t) disc arrays ~n_batteries in
+  let lifetimes =
+    policy_rows ctx.cfg ~shared:(plan_scope ctx) disc arrays ~n_batteries
+  in
+  let rows =
+    String.concat ","
+      (List.map
+         (fun (name, l) ->
+           Printf.sprintf "%s:%s" (Json.to_string (Json.String name)) (jlifetime l))
+         lifetimes)
+  in
   if degrade then
     ( Printf.sprintf
         "{\"policies\":{%s},\"optimal_min\":null,\"status\":\"skipped\"}" rows,
@@ -393,9 +386,29 @@ let compare_json ctx ?budget ~degrade (t : Protocol.target) =
       | Optimal.Optimal -> ("optimal", None)
       | Optimal.Budget_exhausted { trip; _ } -> ("anytime", Some (note_trip trip))
     in
-    ( Printf.sprintf "{\"policies\":{%s},\"optimal_min\":%s,\"status\":%s}" rows
-        (jfloat (Dkibam.Discretization.minutes_of_steps disc r.Optimal.lifetime_steps))
-        (Json.to_string (Json.String status)),
+    let searched =
+      Dkibam.Discretization.minutes_of_steps disc r.Optimal.lifetime_steps
+    in
+    (* A capped search's anytime answer is floored by the best row of
+       the same response: each row is a feasible schedule of this load,
+       and the search's own best-of floor can fall far below the
+       Horizon row.  The row the floor came from is named. *)
+    let optimal_min, floor =
+      match degraded with
+      | None -> (searched, "")
+      | Some _ ->
+          List.fold_left
+            (fun ((best, _) as acc) (name, l) ->
+              match l with
+              | Some m when m > best ->
+                  (m, Printf.sprintf ",\"floor\":%s" (Json.to_string (Json.String name)))
+              | _ -> acc)
+            (searched, "") lifetimes
+    in
+    ( Printf.sprintf "{\"policies\":{%s},\"optimal_min\":%s,\"status\":%s%s}"
+        rows (jfloat optimal_min)
+        (Json.to_string (Json.String status))
+        floor,
       degraded )
 
 let schedule_response ctx ?budget ~degrade (t : Protocol.target) =
@@ -403,7 +416,7 @@ let schedule_response ctx ?budget ~degrade (t : Protocol.target) =
   let arrays = arrays_of_load t.Protocol.load in
   let n_batteries = t.Protocol.n_batteries in
   if degrade then
-    ( degraded_schedule ctx.cfg ~shared:(plan_scope ctx t) disc arrays
+    ( degraded_schedule ctx.cfg ~shared:(plan_scope ctx) disc arrays
         ~n_batteries,
       Some "overload" )
   else

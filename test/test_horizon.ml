@@ -1,10 +1,14 @@
 (* The receding-horizon planner harness (Sched.Horizon).
 
-   The load-bearing check is the differential: with the window covering
-   the whole load (k >= job count) the planner's truncated search has
-   nothing to truncate, so the policy must reproduce the exact optimal
-   search bit-for-bit — lifetime AND per-decision schedule — on every
-   tractable Table 5 load, with bounds on and off.  Around it, the
+   The load-bearing checks are two differentials.  With the window
+   covering the whole load (k >= job count) the planner's truncated
+   search has nothing to truncate, so the policy must reproduce the
+   exact optimal search bit-for-bit — lifetime AND per-decision
+   schedule — on every tractable Table 5 load.  And on seeded random
+   loads every plan must agree with an independent oracle: a plain
+   recursion over the window, with no memo, no span cache and no
+   bounds, that scores the frontier with [Bound.lifetime_lb].  Around
+   them, the
    properties the planner advertises: the root plan value is admissible
    (never above the true optimum) and realized (the simulated lifetime
    under the policy reaches it); on a fixed family of random loads
@@ -18,8 +22,8 @@
    ([?extra_policies]) is bit-identical serial vs pooled; and the
    [horizon.*] observability counters account for every decision.
 
-   The random-load differential is seeded from CHAOS_SEED when set, so a
-   CI failure reproduces locally with [CHAOS_SEED=... dune runtest]; the
+   The oracle differential is seeded from CHAOS_SEED when set, so a CI
+   failure reproduces locally with [CHAOS_SEED=... dune runtest]; the
    seed is printed either way. *)
 
 let disc_b1 = Dkibam.Discretization.paper_b1
@@ -61,57 +65,170 @@ let test_full_window_matches_exact () =
           let a = arrays name in
           let jobs = Loads.Cursor.job_count (Loads.Cursor.make a) in
           let exact = Sched.Optimal.search ~n_batteries:2 disc a in
-          List.iter
-            (fun bounds ->
-              let what =
-                Printf.sprintf "%s (%s, bounds %b)"
-                  (Loads.Testloads.to_string name)
-                  disc_name bounds
-              in
-              let policy = Sched.Horizon.policy ~bounds ~k:jobs () in
-              let o = simulate ~policy disc a in
-              check_int (what ^ ": lifetime") exact.lifetime_steps
-                (lifetime_exn what o);
-              Alcotest.(check (list int))
-                (what ^ ": schedule")
-                (Array.to_list exact.schedule)
-                (decisions_of o))
-            [ true; false ])
+          let what =
+            Printf.sprintf "%s (%s)" (Loads.Testloads.to_string name) disc_name
+          in
+          let o = simulate ~policy:(Sched.Horizon.policy ~k:jobs ()) disc a in
+          check_int (what ^ ": lifetime") exact.lifetime_steps
+            (lifetime_exn what o);
+          Alcotest.(check (list int))
+            (what ^ ": schedule")
+            (Array.to_list exact.schedule)
+            (decisions_of o))
         (table5_loads disc_name))
     [ ("B1", disc_b1); ("B2", disc_b2) ]
 
-(* The planner's cuts, and its skip of upper-bound queries that could
-   not cut, change its work and never a decision: on random 3xB1 loads
-   the policy plans bit-identically with bounds on and off. *)
+(* The oracle: the window search written as a plain recursion, sharing
+   no code with [Optimal]'s core — no memo, no span cache, no bounds, no
+   budget.  From a decision point it serves each alive battery in id
+   order and takes the first maximum.  A death mid-epoch hands over
+   after the one-step switch delay (or at the next job, when the epoch
+   ends first); idle epochs are recovery; a position at or past the
+   frontier scores [Bound.lifetime_lb], a death its step, and outliving
+   the load [Bound.infinite]. *)
+let switch_delay = 1
+
+let rec oracle_value bd cursor ~frontier ~y ~local bank =
+  let best = ref min_int and choice = ref (-1) in
+  for b = 0 to Sched.Bank.size bank - 1 do
+    if not (Sched.Bank.is_dead bank b) then begin
+      let v = oracle_child bd cursor ~frontier ~y ~local bank b in
+      if v > !best then begin
+        best := v;
+        choice := b
+      end
+    end
+  done;
+  (!choice, !best)
+
+and oracle_child bd cursor ~frontier ~y ~local bank b =
+  let bank = Sched.Bank.copy bank in
+  let len = Loads.Cursor.epoch_len cursor y in
+  match
+    Sched.Bank.serve bank ~b (Loads.Cursor.schedule_from cursor y ~local)
+  with
+  | Sched.Bank.Completed -> oracle_next bd cursor ~frontier (y + 1) bank
+  | Sched.Bank.Died off ->
+      let next = local + off in
+      if Sched.Bank.all_dead bank then Loads.Cursor.epoch_start cursor y + next
+      else if next + switch_delay < len then begin
+        Sched.Bank.tick_all bank switch_delay;
+        oracle_at bd cursor ~frontier ~y ~local:(next + switch_delay) bank
+      end
+      else begin
+        Sched.Bank.tick_all bank (len - next);
+        oracle_next bd cursor ~frontier (y + 1) bank
+      end
+
+and oracle_next bd cursor ~frontier y bank =
+  if y >= Loads.Cursor.epoch_count cursor then Sched.Bound.infinite
+  else if Loads.Cursor.is_idle cursor y then begin
+    Sched.Bank.tick_all bank (Loads.Cursor.epoch_len cursor y);
+    oracle_next bd cursor ~frontier (y + 1) bank
+  end
+  else oracle_at bd cursor ~frontier ~y ~local:0 bank
+
+and oracle_at bd cursor ~frontier ~y ~local bank =
+  if y >= frontier then Sched.Bound.lifetime_lb bd ~y ~local bank
+  else snd (oracle_value bd cursor ~frontier ~y ~local bank)
+
+(* A k-job receding-horizon policy that decides with the oracle and,
+   at every decision, also asks [Optimal.plan] of one planner per run
+   (so its memo and the domain's span cache carry over between
+   decisions, as they do in [Horizon]), failing on any disagreement in
+   the choice or the certified value.  [mid] counts mid-job replans. *)
+let oracle_policy ~what ~k ~mid =
+  let per_run = ref None in
+  Sched.Policy.Custom
+    (fun (ctx : Sched.Policy.decision_context) ->
+      let cursor = Option.get ctx.cursor in
+      let bd, planner, job_epochs =
+        match !per_run with
+        | Some (c, bd, p, j) when c == cursor -> (bd, p, j)
+        | _ ->
+            let bd = Sched.Bound.create ctx.disc cursor in
+            let p = Sched.Optimal.planner ctx.disc cursor in
+            let j =
+              List.filter
+                (fun y -> not (Loads.Cursor.is_idle cursor y))
+                (List.init (Loads.Cursor.epoch_count cursor) Fun.id)
+            in
+            per_run := Some (cursor, bd, p, j);
+            (bd, p, j)
+      in
+      let frontier =
+        match List.nth_opt job_epochs (ctx.job_index + k) with
+        | Some y -> y
+        | None -> Loads.Cursor.epoch_count cursor
+      in
+      let delay = if ctx.mid_job then switch_delay else 0 in
+      if ctx.mid_job then incr mid;
+      let bank =
+        Sched.Bank.of_parts ctx.disc ~batteries:ctx.batteries
+          ~dead:
+            (Array.init (Array.length ctx.batteries) (fun i ->
+                 not (List.mem i ctx.alive)))
+      in
+      Sched.Bank.tick_all bank delay;
+      let y = ctx.epoch_index in
+      let local = ctx.step - Loads.Cursor.epoch_start cursor y + delay in
+      let choice, value = oracle_value bd cursor ~frontier ~y ~local bank in
+      (match
+         Sched.Optimal.plan planner ~frontier_epoch:frontier ~y ~local bank
+       with
+      | None -> Alcotest.failf "%s: unbudgeted plan returned None" what
+      | Some p ->
+          if p.plan_choice <> choice || p.plan_value <> value then
+            Alcotest.failf
+              "%s, job %d (step %d%s): plan chose %d (value %d), oracle %d \
+               (value %d)"
+              what ctx.job_index ctx.step
+              (if ctx.mid_job then ", mid-job" else "")
+              p.plan_choice p.plan_value choice value);
+      choice)
+
 let chaos_seed = Guard.Chaos.seed_from_env ~default:20260819L ()
 
-let test_random_bounds_identical () =
+(* Seeded random loads on 3xB1 and 4xB2, k = 2 and 4: every plan equals
+   the oracle's, and the Horizon policy's run equals the oracle
+   policy's, decision for decision.  The loads are long enough that
+   every bank dies within them, so the runs include mid-job
+   replans. *)
+let test_oracle_random_loads () =
   let g = Prng.Splitmix.create chaos_seed in
-  for i = 1 to 24 do
-    let seed = Prng.Splitmix.next_int64 g in
-    let jobs = 40 + Prng.Splitmix.int g 21 in
-    let a =
-      enc
-        (Loads.Random_load.intermitted ~seed ~jobs ~currents:[| 0.5; 0.75 |] ())
-    in
-    List.iter
-      (fun k ->
-        let run bounds =
-          Sched.Simulator.simulate ~n_batteries:3
-            ~policy:(Sched.Horizon.policy ~bounds ~k ())
-            disc_b1 a
-        in
-        let on = run true and off = run false in
-        if
-          on.lifetime_steps <> off.lifetime_steps
-          || decisions_of on <> decisions_of off
-        then
-          Alcotest.failf
-            "load %d (seed %Ld, %d jobs, CHAOS_SEED %Ld) k=%d: bounds on and \
-             off plan differently"
-            i seed jobs chaos_seed k)
-      [ 2; 4 ]
-  done
+  let mid = ref 0 in
+  List.iter
+    (fun (disc_name, disc, n, jobs, currents) ->
+      for i = 1 to 8 do
+        let seed = Prng.Splitmix.next_int64 g in
+        let jobs = jobs + Prng.Splitmix.int g 11 in
+        let a = enc (Loads.Random_load.intermitted ~seed ~jobs ~currents ()) in
+        List.iter
+          (fun k ->
+            let what =
+              Printf.sprintf
+                "%dx%s load %d (seed %Ld, %d jobs, CHAOS_SEED %Ld) k=%d" n
+                disc_name i seed jobs chaos_seed k
+            in
+            let run policy =
+              Sched.Simulator.simulate ~n_batteries:n ~policy disc a
+            in
+            let oracle = run (oracle_policy ~what ~k ~mid) in
+            let horizon = run (Sched.Horizon.policy ~k ()) in
+            ignore (lifetime_exn what oracle : int);
+            Alcotest.(check (option int))
+              (what ^ ": lifetime") oracle.lifetime_steps
+              horizon.lifetime_steps;
+            Alcotest.(check (list int))
+              (what ^ ": decisions") (decisions_of oracle)
+              (decisions_of horizon))
+          [ 2; 4 ]
+      done)
+    [
+      ("B1", disc_b1, 3, 40, [| 0.5; 0.75 |]);
+      ("B2", disc_b2, 4, 60, [| 0.75; 1.0 |]);
+    ];
+  if !mid = 0 then Alcotest.fail "no mid-job replan in the oracle runs"
 
 (* A frontier past the load's end makes [Optimal.plan] the exact suffix
    search itself: the root value is the optimal lifetime and the root
@@ -480,7 +597,7 @@ let test_obs_counters () =
   let a = arrays Loads.Testloads.ILs_alt in
   Obs.enable ();
   let before = Obs.snapshot () in
-  let o = simulate ~policy:(Sched.Horizon.policy ~k:3 ()) disc_b1 a in
+  let o = simulate ~policy:(Sched.Horizon.policy ~k:6 ()) disc_b1 a in
   let mid = Obs.snapshot () in
   let tripped =
     simulate
@@ -501,6 +618,22 @@ let test_obs_counters () =
     Alcotest.failf "replans %d outside [0, plans]" replans;
   check_int "no trips without a budget" 0
     (delta before mid "horizon.budget_trips");
+  (* each plan's work: every counter moves, and every segment's span is
+     either a cache hit or a miss *)
+  List.iter
+    (fun name ->
+      if delta before mid name <= 0 then
+        Alcotest.failf "%s did not move over %d plans" name
+          (delta before mid "horizon.plans"))
+    [
+      "horizon.segments"; "horizon.positions"; "horizon.memo_hits";
+      "horizon.span_hits"; "horizon.span_misses";
+    ];
+  check_int "span hits + misses = segments"
+    (delta before mid "horizon.segments")
+    (delta before mid "horizon.span_hits" + delta before mid "horizon.span_misses");
+  check_int "plans leave optimal.* alone" 0
+    (delta before mid "optimal.segments");
   check_int "tripped plans counted"
     (List.length tripped.decisions)
     (delta mid after "horizon.plans");
@@ -517,8 +650,8 @@ let () =
             test_full_window_matches_exact;
           Alcotest.test_case "full-suffix plan = exact root" `Quick
             test_plan_full_suffix_is_exact;
-          Alcotest.test_case "random loads, bounds on = off" `Quick
-            test_random_bounds_identical;
+          Alcotest.test_case "random loads, plans = oracle" `Quick
+            test_oracle_random_loads;
         ] );
       ( "certificates",
         [

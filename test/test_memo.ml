@@ -182,6 +182,8 @@ let test_eviction_thrash_identical () =
   if s.Sched.Memo.st_evictions = 0 then
     Alcotest.fail "capacity 8 never evicted — bound not exercised"
 
+(* One scope serves three different loads: each planner narrows it by
+   its own load, so no load reads another's window values. *)
 let test_horizon_shared_identical () =
   let g = gen 15L in
   let m = Sched.Memo.create ~capacity:100_000 () in
@@ -217,9 +219,13 @@ let test_tripped_search_private () =
   let g = gen 17L in
   let a = random_load g in
   let base = Sched.Optimal.search ~n_batteries:2 disc a in
+  (* half the load's own untripped work: the budget trips on every
+     seed, serial or pooled (pooled branches cut less, so they run at
+     least as many segments) *)
+  let max_segments = max 1 (base.Sched.Optimal.stats.segments_run / 2) in
   let m = Sched.Memo.create ~capacity:200_000 () in
   let tripped ?pool what =
-    let budget = Guard.Budget.create ~max_segments:200 () in
+    let budget = Guard.Budget.create ~max_segments () in
     let r =
       Sched.Optimal.search ?pool ~budget ~shared:m ~n_batteries:2 disc a
     in
@@ -268,11 +274,15 @@ let test_tripped_plan_private () =
       ~frontier_epoch ~y ~local:0
       (Sched.Bank.create ~n_batteries:2 disc)
   in
-  (match
-     plan ~budget:(Guard.Budget.create ~max_segments:200 ()) ~shared:scope ()
-   with
+  (* half the same plan's untripped work, so the budget trips on every
+     seed *)
+  let untripped = Guard.Budget.unlimited () in
+  ignore (plan ~budget:untripped () : Sched.Optimal.plan option);
+  let max_segments = max 1 (Guard.Budget.segments untripped / 2) in
+  (match plan ~budget:(Guard.Budget.create ~max_segments ()) ~shared:scope () with
   | None -> ()
-  | Some _ -> Alcotest.fail "a 200-segment budget did not trip the plan");
+  | Some _ ->
+      Alcotest.failf "a %d-segment budget did not trip the plan" max_segments);
   check_int "entries after a tripped plan" 0 (Sched.Memo.entries m);
   match (plan (), plan ~shared:scope ()) with
   | Some base, Some shared ->

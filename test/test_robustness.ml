@@ -886,6 +886,166 @@ let test_perturbed_load_within_bounds () =
         lt_lo
   done
 
+(* ------------------------------------------------------------------ *)
+(* Span cache                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One span through the cache or straight through the kernel: the fatal
+   index and the cell after it, or the exception, with the cell
+   required untouched when it raises. *)
+let span_outcome label serve d start (sch : Loads.Cursor.schedule) =
+  let c = cell_of start in
+  let got =
+    attempt (fun () ->
+        let fatal = serve d c ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws ~rest:sch.rest in
+        (fatal, triple c))
+  in
+  if Result.is_error got && triple c <> start then
+    failf "%s: a raising span changed the cell" label;
+  got
+
+let direct d c = Dkibam.Kernel.serve d c
+let cached d c = Dkibam.Span_cache.serve (Dkibam.Span_cache.for_domain d) c
+
+(* A pool of keys drawn with [random_state] and [random_schedule] (so
+   some raise: a draw past N), plus one with a negative [ct]; spans
+   drawn from it repeat, so the cache both hits and misses. *)
+let key_pool g d size =
+  Array.init size (fun i ->
+      let sch = random_schedule g in
+      let sch = if i = 0 then { sch with ct = -1 } else sch in
+      (random_state g d, sch))
+
+let span_cache_grids =
+  [ ("B1", Dkibam.Discretization.paper_b1); ("B2", Dkibam.Discretization.paper_b2);
+    ("coarse", coarse) ]
+
+(* cached = direct on every grid, raising cases included; a raising
+   span is never stored, so it raises again on a repeat.  The grids
+   follow each other on this domain, so each switch empties the
+   cache. *)
+let test_span_cache_matches_kernel () =
+  let g = gen 31L in
+  List.iter
+    (fun (dname, d) ->
+      let cache = Dkibam.Span_cache.for_domain d in
+      let hits0 = Dkibam.Span_cache.hits cache
+      and misses0 = Dkibam.Span_cache.misses cache in
+      let pool = key_pool g d 96 in
+      let served = ref 0 and raised = ref 0 in
+      for round = 1 to 4000 do
+        let start, sch = pool.(Prng.Splitmix.int g (Array.length pool)) in
+        let label =
+          Printf.sprintf "%s round %d from %s (ct=%d cur=%d draws=%d rest=%d)" dname
+            round (show start) sch.ct sch.cur sch.draws sch.rest
+        in
+        let want = span_outcome label direct d start sch in
+        let got = span_outcome label cached d start sch in
+        if got <> want then
+          failf "%s: cached %s, kernel %s" label (show_outcome show_span got)
+            (show_outcome show_span want);
+        if Result.is_ok want then incr served else incr raised
+      done;
+      let hits = Dkibam.Span_cache.hits cache - hits0
+      and misses = Dkibam.Span_cache.misses cache - misses0 in
+      if hits + misses <> !served then
+        failf "%s: %d hits + %d misses for %d served spans" dname hits misses !served;
+      if hits = 0 || misses = 0 || !raised = 0 then
+        failf "%s: %d hits, %d misses, %d raising spans: a case never reached" dname
+          hits misses !raised)
+    span_cache_grids
+
+(* Two keys forced into one slot evict each other: served in turn, each
+   is a miss and each gives the kernel's answer. *)
+let test_span_cache_collision () =
+  let g = gen 32L in
+  let d = Dkibam.Discretization.paper_b1 in
+  let fits (n, m, clock) (sch : Loads.Cursor.schedule) =
+    Result.is_ok
+      (attempt (fun () ->
+           Dkibam.Kernel.serve d (cell_of (n, m, clock)) ~ct:sch.ct ~cur:sch.cur
+             ~draws:sch.draws ~rest:sch.rest))
+  in
+  let slot_of (state, (sch : Loads.Cursor.schedule)) =
+    Dkibam.Span_cache.slot ~ct:sch.ct ~cur:sch.cur ~draws:sch.draws ~rest:sch.rest
+      (cell_of state)
+  in
+  let seen = Hashtbl.create 64 in
+  let rec find () =
+    let key = (random_state g d, random_schedule g) in
+    if not (fits (fst key) (snd key)) then find ()
+    else
+      match Hashtbl.find_opt seen (slot_of key) with
+      | Some other when other <> key -> (other, key)
+      | _ ->
+          Hashtbl.replace seen (slot_of key) key;
+          find ()
+  in
+  let a, b = find () in
+  let cache = Dkibam.Span_cache.for_domain d in
+  let misses0 = Dkibam.Span_cache.misses cache in
+  for round = 1 to 6 do
+    let start, sch = if round mod 2 = 1 then a else b in
+    let label = Printf.sprintf "colliding key %s, turn %d" (show start) round in
+    let want = span_outcome label direct d start sch in
+    let got = span_outcome label cached d start sch in
+    if got <> want then
+      failf "%s: cached %s, kernel %s" label (show_outcome show_span got)
+        (show_outcome show_span want)
+  done;
+  let misses = Dkibam.Span_cache.misses cache - misses0 in
+  if misses <> 6 then failf "two keys in one slot: %d misses in 6 turns" misses
+
+(* One domain serves the same keys under B1, then B2: nothing cached
+   under B1 answers under B2. *)
+let test_span_cache_switch () =
+  let g = gen 33L in
+  let b1 = Dkibam.Discretization.paper_b1 and b2 = Dkibam.Discretization.paper_b2 in
+  let keys = key_pool g b1 48 in
+  List.iter
+    (fun d ->
+      Array.iteri
+        (fun i (start, sch) ->
+          for turn = 1 to 2 do
+            let label =
+              Printf.sprintf "%s key %d turn %d from %s"
+                (if d == b1 then "B1" else "B2") i turn (show start)
+            in
+            let want = span_outcome label direct d start sch in
+            let got = span_outcome label cached d start sch in
+            if got <> want then
+              failf "%s: cached %s, kernel %s" label (show_outcome show_span got)
+                (show_outcome show_span want)
+          done)
+        keys)
+    [ b1; b2; b1 ]
+
+(* Two domains, each with its own cache, serve interleaved spans from
+   one pool; every outcome matches a serial run of the kernel. *)
+let test_span_cache_two_domains () =
+  let g = gen 34L in
+  let d = Dkibam.Discretization.paper_b1 in
+  let pool = key_pool g d 64 in
+  let picks =
+    Array.init 2 (fun _ -> Array.init 3000 (fun _ -> Prng.Splitmix.int g 64))
+  in
+  let run serve picks =
+    Array.map
+      (fun i ->
+        let start, sch = pool.(i) in
+        span_outcome (Printf.sprintf "pool key %d" i) serve d start sch)
+      picks
+  in
+  let serial = Array.map (run direct) picks in
+  let worker i () = (Dkibam.Span_cache.for_domain d, run cached picks.(i)) in
+  let domains = Array.init 2 (fun i -> Domain.spawn (worker i)) in
+  let results = Array.map Domain.join domains in
+  if fst results.(0) == fst results.(1) then failf "two domains share one cache";
+  Array.iteri
+    (fun i (_, got) ->
+      if got <> serial.(i) then failf "domain %d: cached spans differ from the kernel" i)
+    results
+
 let () =
   Printf.printf "test_robustness: CHAOS_SEED=%Ld\n%!" seed;
   Alcotest.run "robustness"
@@ -915,6 +1075,17 @@ let () =
             test_fresh_disc_two_domains;
           Alcotest.test_case "traced run = untraced run" `Quick
             test_trace_same_run;
+        ] );
+      ( "span cache",
+        [
+          Alcotest.test_case "cached = kernel, B1/B2/coarse" `Quick
+            test_span_cache_matches_kernel;
+          Alcotest.test_case "two keys in one slot" `Quick
+            test_span_cache_collision;
+          Alcotest.test_case "B1 then B2 on one domain" `Quick
+            test_span_cache_switch;
+          Alcotest.test_case "two domains = serial kernel" `Quick
+            test_span_cache_two_domains;
         ] );
       ( "monotonicity",
         [

@@ -361,6 +361,56 @@ let test_hostile_search_capped () =
     Alcotest.failf "memo at capacity (%d entries)"
       (sub_int stats2 "memo" "entries")
 
+(* The same frame as a [compare]: the capped search's anytime answer
+   would fall below the response's own Horizon row, so [optimal_min] is
+   floored by the best policy row, and [floor] names it. *)
+let test_capped_compare_floored () =
+  let spec =
+    Loads.Spec.to_string (Loads.Random_load.intermitted ~seed:10L ~jobs:30 ())
+  in
+  let path, r = start () in
+  Fun.protect ~finally:(fun () -> finish r) @@ fun () ->
+  let c = connect path in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let j =
+    json_of
+      (request_exn c
+         (Printf.sprintf {|{"id":1,"op":"compare","spec":%s,"n":3}|}
+            (Obs.Json.to_string (Obs.Json.String spec))))
+  in
+  Alcotest.(check bool) "answered ok" true (is_ok j);
+  Alcotest.(check bool) "tagged degraded" true (is_degraded j);
+  let result = member_exn "result" j in
+  let field name =
+    match Obs.Json.member name result with
+    | Some v -> v
+    | None -> Alcotest.failf "compare lacks %s: %s" name (Obs.Json.to_string j)
+  in
+  (match field "status" with
+  | Obs.Json.String "anytime" -> ()
+  | v -> Alcotest.failf "unexpected status %s" (Obs.Json.to_string v));
+  let rows =
+    match field "policies" with
+    | Obs.Json.Obj rows ->
+        List.filter_map
+          (function name, Obs.Json.Float m -> Some (name, m) | _ -> None)
+          rows
+    | v -> Alcotest.failf "policies is not an object: %s" (Obs.Json.to_string v)
+  in
+  let best_name, best =
+    List.fold_left
+      (fun (bn, b) (n, m) -> if m > b then (n, m) else (bn, b))
+      ("", neg_infinity) rows
+  in
+  Alcotest.(check string) "the best row is the Horizon row" "horizon-4"
+    best_name;
+  (match field "optimal_min" with
+  | Obs.Json.Float m -> Alcotest.(check (float 0.0)) "optimal_min" best m
+  | v -> Alcotest.failf "optimal_min is %s" (Obs.Json.to_string v));
+  match field "floor" with
+  | Obs.Json.String n -> Alcotest.(check string) "floor names the row" best_name n
+  | v -> Alcotest.failf "floor is %s" (Obs.Json.to_string v)
+
 (* --- admission control: shed + overload degradation ------------------- *)
 
 let test_overload_shed_and_degrade () =
@@ -756,6 +806,8 @@ let () =
             test_spec_keys_exact;
           Alcotest.test_case "hostile search capped" `Quick
             test_hostile_search_capped;
+          Alcotest.test_case "capped compare floored by its best row" `Quick
+            test_capped_compare_floored;
         ] );
       ( "concurrency",
         [
