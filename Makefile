@@ -17,7 +17,7 @@ verify:
 	dune runtest
 
 bench:
-	dune exec bench/main.exe -- optimal-bench
+	python3 perfbench/run.py --workload search --seed 1 --seconds 40 --trace 0
 
 # Requires the ocamlformat binary on PATH (not bundled in every
 # container); config lives in .ocamlformat.

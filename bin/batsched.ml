@@ -461,23 +461,33 @@ let compare_cmd =
                 with_jobs jobs (fun pool ->
                     Printf.printf "load %s, %d x %s batteries:\n" label n
                       battery;
-                    Printf.printf "  sequential : %8.3f min\n"
-                      (lt Sched.Policy.Sequential);
-                    Printf.printf "  round robin: %8.3f min\n"
-                      (lt Sched.Policy.Round_robin);
-                    Printf.printf "  best-of    : %8.3f min\n"
-                      (lt Sched.Policy.Best_of);
-                    Printf.printf "  %-11s: %8.3f min\n"
-                      (policy_label ~horizon_k ~horizon_budget Horizon)
-                      (lt (policy_of_spec ~horizon_k ~horizon_budget Horizon));
+                    let rows =
+                      List.map
+                        (fun (name, policy) ->
+                          let l = lt policy in
+                          Printf.printf "  %-11s: %8.3f min\n" name l;
+                          (name, Some l))
+                        [
+                          ("sequential", Sched.Policy.Sequential);
+                          ("round robin", Sched.Policy.Round_robin);
+                          ("best-of", Sched.Policy.Best_of);
+                          ( policy_label ~horizon_k ~horizon_budget Horizon,
+                            policy_of_spec ~horizon_k ~horizon_budget Horizon );
+                        ]
+                    in
                     let r =
                       Sched.Optimal.search ?pool ?budget
                         ?bounds:(bounds_of_flag no_bounds) ~n_batteries:n disc
                         arrays
                     in
-                    Printf.printf "  optimal    : %8.3f min\n"
-                      (Dkibam.Discretization.minutes_of_steps disc
-                         r.lifetime_steps);
+                    let optimal, floor =
+                      Sched.Optimal.floored_minutes disc r rows
+                    in
+                    Printf.printf "  optimal    : %8.3f min%s\n" optimal
+                      (match floor with
+                      | None -> ""
+                      | Some row ->
+                          Printf.sprintf " (floored by the %s row)" row);
                     print_status r.status;
                     match r.status with
                     | Sched.Optimal.Optimal -> 0

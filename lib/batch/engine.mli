@@ -7,7 +7,7 @@
     going through [Dkibam.Kernel] — the exact arithmetic of the scalar
     [Sched.Bank] path, so batched lifetimes and stranded charge are
     {e bit-identical} to [Sched.Simulator] on every load and policy
-    (asserted load-by-load in [test/test_batch.ml] and by the bench).
+    (asserted load-by-load in [test/test_batch.ml]).
 
     What this engine intentionally does {e not} produce: traces,
     per-death bookkeeping, serving intervals, or [Custom] policy
@@ -16,8 +16,8 @@
     are invariant under any permutation of the lane array.
 
     Observability: each call bumps [batch.batches], [batch.lanes] and
-    [batch.steps] (battery-steps simulated).  [State.steps] carries the
-    same number unconditionally for throughput measurements. *)
+    [batch.steps] (battery-steps simulated; every span of [k] time
+    steps served or idled adds [k * n_batteries]). *)
 
 (** The batchable policies (the engine-level mirror of the scalar
     simulator's policy type, minus [Custom] closures). *)

@@ -85,7 +85,6 @@ let create ~lanes ~n_batteries (disc : Dkibam.Discretization.t) =
 let lanes t = t.lanes
 let n_batteries t = t.n_batteries
 let disc t = t.disc
-let steps t = t.steps
 
 let check_lane t lane =
   if lane < 0 || lane >= t.lanes then

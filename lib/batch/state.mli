@@ -10,7 +10,7 @@
     bit-identity contract with the scalar kernel.
 
     The record is deliberately {e concrete}: [Batch.Engine] iterates the
-    planes with [unsafe_get]/[unsafe_set], and benches may read them
+    planes with [unsafe_get]/[unsafe_set], and tests may read them
     wholesale.  Per-battery planes are indexed
     [lane * n_batteries + battery]; per-lane planes by lane. *)
 
@@ -53,11 +53,6 @@ val n_batteries : t -> int
 
 val disc : t -> Dkibam.Discretization.t
 (** The discretization every lane runs under. *)
-
-val steps : t -> int
-(** Battery-steps simulated over the whole batch so far: every span of
-    [k] time steps served or idled adds [k * n_batteries].  The
-    throughput numerator of [bench]'s batch block. *)
 
 val finished : t -> int -> bool
 (** Has the lane's run ended (all batteries dead, or load exhausted)? *)

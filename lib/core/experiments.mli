@@ -2,8 +2,8 @@
 
     Each function recomputes one published artifact with this library's
     engines and pairs it with the transcription in {!Paper_data}.  The
-    bench harness ([bench/main.ml]) and the [batsched tables] command are
-    thin printers over these. *)
+    paper renderer ([bench/main.ml]) and the [batsched tables] command
+    are thin printers over these. *)
 
 val time_step : float
 (** 0.01 min — the paper's discretization (§5). *)

@@ -274,7 +274,3 @@ let parallel_init ?cancel ?chunk t n f =
 
 let parallel_map ?cancel ?chunk t f a =
   parallel_init ?cancel ?chunk t (Array.length a) (fun i -> f a.(i))
-
-let parallel_list_map ?cancel ?chunk t f l =
-  let a = Array.of_list l in
-  Array.to_list (parallel_init ?cancel ?chunk t (Array.length a) (fun i -> f a.(i)))

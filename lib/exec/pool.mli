@@ -115,7 +115,3 @@ val parallel_init :
 val parallel_map :
   ?cancel:Guard.Cancel.t -> ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f a] is [Array.map f a], distributed. *)
-
-val parallel_list_map :
-  ?cancel:Guard.Cancel.t -> ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_list_map pool f l] is [List.map f l], distributed. *)

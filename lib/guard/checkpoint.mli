@@ -2,7 +2,7 @@
 
     The persistence half of crash-safe search: {!Sched.Optimal.search}
     periodically saves its memo table here and preloads it on resume,
-    and the bench uses {!write_atomic} for its JSON artifacts.  Every
+    and the daemon's result cache persists its snapshots here.  Every
     write is temp-file-plus-rename in the target's directory, so a
     reader never observes a torn file; every {!save} frames the payload
     with a magic string, a format version, a caller-supplied

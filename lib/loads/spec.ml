@@ -164,9 +164,33 @@ let parse input =
   | Ok v -> v
   | Error e -> raise (Parse_error (Guard.Error.to_string e))
 
+(* [%g] where it reads back exact, so short numbers keep their short
+   form; otherwise the fewest of 15-17 significant digits that do (17
+   always do). *)
+let exact_number x =
+  let exact s = float_of_string s = x in
+  let rec digits p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || exact s then s else digits (p + 1)
+  in
+  let g = Printf.sprintf "%g" x in
+  if exact g then g else digits 15
+
 let to_string load =
+  (* a load repeats a few currents and durations: print each once, so
+     the read-back check costs nothing per epoch *)
+  let printed = Hashtbl.create 8 in
+  let number x =
+    match Hashtbl.find_opt printed x with
+    | Some s -> s
+    | None ->
+        let s = exact_number x in
+        Hashtbl.add printed x s;
+        s
+  in
   Epoch.epochs load
   |> List.map (function
-       | Epoch.Job { current; duration } -> Printf.sprintf "job %g %g" current duration
-       | Epoch.Idle d -> Printf.sprintf "idle %g" d)
+       | Epoch.Job { current; duration } ->
+           String.concat " " [ "job"; number current; number duration ]
+       | Epoch.Idle d -> "idle " ^ number d)
   |> String.concat "; "

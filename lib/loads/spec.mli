@@ -44,4 +44,6 @@ val parse : string -> Epoch.t
 
 val to_string : Epoch.t -> string
 (** Render a load back into the language ([parse (to_string l)] equals
-    [l] up to idle merging). *)
+    [l] up to idle merging, every number bit for bit).  Each number
+    prints as [%g] when that reads back exactly, and otherwise with the
+    fewest of 15, 16 or 17 significant digits that do. *)

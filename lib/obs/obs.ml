@@ -631,40 +631,6 @@ module Json = struct
     | _ -> None
 end
 
-let snapshot_json snap =
-  let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l) in
-  Json.Obj
-    [
-      ("counters", ints snap.counters);
-      ("gauges", ints snap.gauges);
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (name, buckets) ->
-               ( name,
-                 Json.List
-                   (List.map
-                      (fun (upper, v) ->
-                        Json.Obj
-                          [
-                            ( "le",
-                              if upper = max_int then Json.String "inf"
-                              else Json.Int upper );
-                            ("count", Json.Int v);
-                          ])
-                      buckets) ))
-             snap.histograms) );
-      ( "spans",
-        Json.Obj
-          (List.map
-             (fun (name, { calls; total_ns }) ->
-               ( name,
-                 Json.Obj
-                   [ ("calls", Json.Int calls); ("total_ns", Json.Int total_ns) ]
-               ))
-             snap.spans) );
-    ]
-
 let trace_document () =
   Mutex.lock registry_mutex;
   let sinks = List.sort (fun a b -> compare a.domain b.domain) !sinks in

@@ -4,8 +4,9 @@
     The library answers one question the ROADMAP keeps asking: {e where
     does the time go?}  Every hot path (the memoized optimal search, the
     zone-based reachability engine, the domain pool, the ensemble
-    runner, the dKiBaM engine) registers named metrics here; the CLI and
-    the bench surface them behind [--stats] / [--trace FILE].
+    runner, the dKiBaM engine) registers named metrics here; the CLI
+    surfaces them behind [--stats] / [--trace FILE], and perfbench's
+    traced runs read them.
 
     Design constraints, in order:
 
@@ -13,8 +14,8 @@
       called; every instrumentation call first reads one [Atomic.t]
       flag and returns.  Instrumented code must be bit-identical in
       output and within noise in wall time when observability is off —
-      the test suite and the bench's overhead acceptance check both
-      assert it.
+      the test suite asserts the first, and perfbench times every
+      change with observability off.
     - {b Lock-free on the hot path.}  Each domain owns a private sink
       (via [Domain.DLS]); an instrumentation call touches only its own
       domain's flat [int array] slots, indexed by metric id.  The only
@@ -174,12 +175,6 @@ module Json : sig
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] otherwise. *)
 end
-
-val snapshot_json : snapshot -> Json.t
-(** The stats block as JSON: [{"counters": {...}, "gauges": {...},
-    "histograms": {...}, "spans": {name: {"calls": n, "total_ns": n}}}]
-    — this is the ["obs"] block the bench appends to
-    [BENCH_parallel.json]. *)
 
 val trace_document : unit -> Json.t
 (** The recorded span events as a Chrome [trace_event] JSON document:

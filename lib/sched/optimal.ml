@@ -731,6 +731,16 @@ let lifetime ?pool ?budget ?switch_delay ?objective ?bounds
        ?allow_final_draw_skip ?initial ~n_batteries disc load)
       .lifetime_steps
 
+let floored_minutes disc r rows =
+  let searched = Dkibam.Discretization.minutes_of_steps disc r.lifetime_steps in
+  match r.status with
+  | Optimal -> (searched, None)
+  | Budget_exhausted _ ->
+      List.fold_left
+        (fun ((best, _) as acc) (name, l) ->
+          match l with Some m when m > best -> (m, Some name) | _ -> acc)
+        (searched, None) rows
+
 (* ------------------------------------------------------------------ *)
 (* Suffix planning with a terminal bound — the Horizon policy's core   *)
 (* ------------------------------------------------------------------ *)

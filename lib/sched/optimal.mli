@@ -243,6 +243,20 @@ val lifetime :
     {!Dkibam.Discretization.minutes_of_steps}; [pool] and [budget] as in
     [search] — under a tripped budget this is the anytime lifetime). *)
 
+val floored_minutes :
+  Dkibam.Discretization.t ->
+  result ->
+  (string * float option) list ->
+  float * string option
+(** [floored_minutes disc r rows]: the lifetime in minutes to report for
+    search result [r] beside the named policy [rows] of the same load
+    (each a lifetime in minutes, [None] if that policy outlived it).  An
+    [Optimal] result stands as is.  A budget-exhausted one is floored by
+    the best row: each row is a feasible schedule of the load, and the
+    search's own best-of-two floor can fall far below a Horizon row.
+    The second component names the row that raised it, if one did.
+    [batsched compare] and the daemon's [compare] op both report this. *)
+
 val score_floor :
   objective -> Bound.t -> y:int -> local:int -> Bank.t -> int
 (** The floor with bounds on {!search} seeds a position's value with:

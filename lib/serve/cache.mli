@@ -5,7 +5,7 @@
     budget-truncated results never enter the cache — so a hit replays
     the cold response byte for byte, which is what makes the daemon's
     restart warm-start bit-identical (asserted by the CI [serve-smoke]
-    job and the bench crash replay).
+    job and [test/test_serve.ml]'s crash replay).
 
     Durability rides {!Guard.Checkpoint}: every save is an atomic
     temp-file-plus-rename of a framed, checksummed snapshot, so a

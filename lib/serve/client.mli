@@ -1,6 +1,6 @@
 (** Blocking line client for the {!Server} daemon.
 
-    Used by [batsched call], the traffic-replay bench and the test
+    Used by [batsched call], perfbench's [serve] workload and the test
     suite.  One request line out, one response line back, in order —
     the transport half of the {!Protocol} contract.  The client is
     deliberately simple (blocking I/O, one outstanding request unless

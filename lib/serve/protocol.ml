@@ -267,7 +267,7 @@ let cache_key r =
              p.mc_seed p.mc_samples p.mc_slots
              (match p.mc_deadline_min with
              | None -> "-"
-             | Some d -> Printf.sprintf "%.6f" d))
+             | Some d -> Printf.sprintf "%h" d))
     | Ensemble (t, p) ->
         Some
           (Printf.sprintf "ensemble|%s|%d|%d|%d|%b"

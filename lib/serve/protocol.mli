@@ -72,7 +72,8 @@ val cache_key : request -> string option
 (** Canonical cache key (an MD5 hex of the query's canonical form), or
     [None] for queries that must not be cached ([Stats]).  A spec load
     enters the key as its parsed epochs, marshalled exactly, so two
-    specs share a key only when they are the same load.  Budget fields
+    specs share a key only when they are the same load; a Monte Carlo
+    [deadline_min] enters bit for bit ([%h]).  Budget fields
     are excluded: a cached entry is always the {e exact} answer, so it
     may serve a budgeted request too. *)
 

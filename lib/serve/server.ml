@@ -386,29 +386,13 @@ let compare_json ctx ?budget ~degrade (t : Protocol.target) =
       | Optimal.Optimal -> ("optimal", None)
       | Optimal.Budget_exhausted { trip; _ } -> ("anytime", Some (note_trip trip))
     in
-    let searched =
-      Dkibam.Discretization.minutes_of_steps disc r.Optimal.lifetime_steps
-    in
-    (* A capped search's anytime answer is floored by the best row of
-       the same response: each row is a feasible schedule of this load,
-       and the search's own best-of floor can fall far below the
-       Horizon row.  The row the floor came from is named. *)
-    let optimal_min, floor =
-      match degraded with
-      | None -> (searched, "")
-      | Some _ ->
-          List.fold_left
-            (fun ((best, _) as acc) (name, l) ->
-              match l with
-              | Some m when m > best ->
-                  (m, Printf.sprintf ",\"floor\":%s" (Json.to_string (Json.String name)))
-              | _ -> acc)
-            (searched, "") lifetimes
-    in
+    let optimal_min, floor = Optimal.floored_minutes disc r lifetimes in
     ( Printf.sprintf "{\"policies\":{%s},\"optimal_min\":%s,\"status\":%s%s}"
         rows (jfloat optimal_min)
         (Json.to_string (Json.String status))
-        floor,
+        (match floor with
+        | None -> ""
+        | Some name -> ",\"floor\":" ^ Json.to_string (Json.String name)),
       degraded )
 
 let schedule_response ctx ?budget ~degrade (t : Protocol.target) =

@@ -102,7 +102,7 @@ val run :
   config ->
   outcome
 (** Run the daemon until [stop] (graceful drain) or [abort] (immediate
-    exit {e without} the final cache save — the bench's simulated
+    exit {e without} the final cache save — the tests' simulated
     [kill -9]; periodic saves remain on disk, atomically).
 
     [handle_signals] (default [false]) additionally latches [stop] on

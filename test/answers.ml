@@ -12,6 +12,28 @@
 
 let bounds_tag on = if on then "bounds-on" else "bounds-off"
 
+(* The four pruning regimes of doc/PERFORMANCE.md's bound suite, shared
+   by the search suites: generated 40-60 job loads past the Table 5
+   sizes, each on its own cells and a fixed seed, as (label, battery,
+   bank size, load). *)
+let regimes =
+  let regime label disc n jobs seed currents idle =
+    ( label,
+      disc,
+      n,
+      Loads.Arrays.make ~time_step:0.01 ~charge_unit:0.01
+        (Loads.Random_load.intermitted ~seed ~jobs ~currents ~idle_duration:idle
+           ()) )
+  in
+  let b1 = Dkibam.Discretization.paper_b1
+  and b2 = Dkibam.Discretization.paper_b2 in
+  [
+    regime "marginal" b1 3 40 2L [| 0.25; 0.5 |] 1.0;
+    regime "overdrive" b2 2 60 1L [| 0.5 |] 0.5;
+    regime "mixed" b2 2 40 1L [| 0.25; 0.5; 1.0 |] 1.0;
+    regime "overload" b1 3 40 1L [| 0.5; 2.0 |] 1.0;
+  ]
+
 (* The bound mode a search runs in when [~bounds] is not passed: the
    same environment switch [Sched.Optimal] reads. *)
 let default_bounds () =

@@ -2,7 +2,8 @@
 
    Two halves.  The differential half runs the optimal search with
    bounds on and off — over every Table 5 load, both battery types and
-   all three objectives, then over an ensemble of random loads — and
+   all three objectives, then over the four fixed regimes of the bound
+   suite (whose cuts must fire) and an ensemble of random loads — and
    demands bit-identical results (lifetime, stranded charge, schedule),
    plus a replay of the bounded search's schedule through the simulator.
    The property half checks Sched.Bound directly: admissibility of all
@@ -174,6 +175,19 @@ let random_load g =
 
 let test_differential_random () =
   Printf.printf "test_bound: CHAOS_SEED=%Ld\n%!" chaos_seed;
+  (* the fixed regimes first: identical results, and the bounds must
+     actually cut there, or pruning is inert *)
+  let cuts =
+    List.fold_left
+      (fun cuts (label, disc, n_batteries, a) ->
+        let on = Sched.Optimal.search ~bounds:true ~n_batteries disc a in
+        let off = Sched.Optimal.search ~bounds:false ~n_batteries disc a in
+        check_identical ~what:("regime " ^ label) on off;
+        cuts + on.stats.bound_cuts)
+      0 Answers.regimes
+  in
+  Printf.printf "test_bound: %d bound cuts over the four regimes\n%!" cuts;
+  if cuts = 0 then Alcotest.fail "no bound cut fired on the four regimes";
   let g = Prng.Splitmix.create chaos_seed in
   for i = 1 to 50 do
     let a = random_load g in
@@ -409,8 +423,8 @@ let random_position g (disc : Dkibam.Discretization.t) cursor =
   let dead = Array.init size (fun _ -> Prng.Splitmix.int g 4 = 0) in
   (y, local, Sched.Bank.of_parts disc ~batteries ~dead)
 
-(* Every Table 5 load on 2xB1 and 2xB2, then the bound suite's four
-   regimes on their own cells, as (label, battery, bank size, load). *)
+(* Every Table 5 load on 2xB1 and 2xB2, then the four regimes, as
+   (label, battery, bank size, load). *)
 let table5_both =
   List.concat_map
     (fun (dname, disc) ->
@@ -420,23 +434,7 @@ let table5_both =
         Loads.Testloads.all_names)
     discs
 
-let regimes =
-  let regime label disc n jobs seed currents idle =
-    ( label,
-      disc,
-      n,
-      enc
-        (Loads.Random_load.intermitted ~seed ~jobs ~currents ~idle_duration:idle
-           ()) )
-  in
-  [
-    regime "marginal" disc_b1 3 40 2L [| 0.25; 0.5 |] 1.0;
-    regime "overdrive" disc_b2 2 60 1L [| 0.5 |] 0.5;
-    regime "mixed" disc_b2 2 40 1L [| 0.25; 0.5; 1.0 |] 1.0;
-    regime "overload" disc_b1 3 40 1L [| 0.5; 2.0 |] 1.0;
-  ]
-
-let bound_loads = table5_both @ regimes
+let bound_loads = table5_both @ Answers.regimes
 
 (* The decision points of best-of, round-robin and sequential runs, as
    [(y, local, bank)]. *)
@@ -573,7 +571,7 @@ let test_floor_below_ub () =
         (fun (label, disc, n, a) ->
           let other = if disc == disc_b1 then disc_b2 else disc_b1 in
           (label ^ " (other cell)", other, n, a))
-        regimes);
+        Answers.regimes);
   (* most positions must have a finite upper bound, or the ordering is
      checked against infinity alone *)
   if 2 * !finite < !checked then

@@ -17,17 +17,22 @@ let check_exit args expected () =
   Alcotest.(check int) (Printf.sprintf "batsched %s" args) expected
     (run_status args)
 
-let stderr_mentions args needle () =
-  let err = Filename.temp_file "batsched_cli" ".err" in
-  Fun.protect ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+(* The exit status of [batsched args] and what it wrote to [fd] (1 or
+   2); the other stream is discarded. *)
+let run_capture args fd =
+  let file = Filename.temp_file "batsched_cli" ".out" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
   @@ fun () ->
-  let cmd =
-    Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args
-      (Filename.quote err)
+  let status =
+    Sys.command
+      (Printf.sprintf "%s %s %d>%s %d>/dev/null" (Filename.quote exe) args fd
+         (Filename.quote file) (3 - fd))
   in
-  let status = Sys.command cmd in
+  (status, In_channel.with_open_bin file In_channel.input_all)
+
+let stderr_mentions args needle () =
+  let status, text = run_capture args 2 in
   Alcotest.(check int) "validation exit" 2 status;
-  let text = In_channel.with_open_bin err In_channel.input_all in
   let has =
     let nl = String.length needle and tl = String.length text in
     let rec scan i = i + nl <= tl && (String.sub text i nl = needle || scan (i + 1)) in
@@ -36,6 +41,23 @@ let stderr_mentions args needle () =
   Alcotest.(check bool)
     (Printf.sprintf "stderr of %s mentions %S" args needle)
     true has
+
+(* A capped compare reports its anytime optimum floored by the best
+   policy row, and names that row, as the daemon's compare does: on 3xB1
+   ILs alt, 100 segments stop the search at 32.26 min, below the
+   horizon-4 row's 34.68. *)
+let test_capped_compare_floored () =
+  let status, text = run_capture "compare --max-segments 100 -n 3 ils_alt" 1 in
+  Alcotest.(check int) "budget exit" 3 status;
+  let lines = String.split_on_char '\n' text in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "prints %S" line) true
+        (List.mem line lines))
+    [
+      "  horizon-4  :   34.680 min";
+      "  optimal    :   34.680 min (floored by the horizon-4 row)";
+    ]
 
 (* Each row is (test name, argv tail, expected exit code). *)
 let table =
@@ -69,5 +91,10 @@ let () =
           Alcotest.test_case "budget-flag error names the flag" `Quick
             (stderr_mentions "schedule --max-segments 0 cl_alt"
                "--max-segments");
+        ] );
+      ( "output",
+        [
+          Alcotest.test_case "capped compare floored by its best row" `Quick
+            test_capped_compare_floored;
         ] );
     ]

@@ -40,11 +40,7 @@ let test_parallel_map_matches_serial () =
           Alcotest.(check (array int))
             (Printf.sprintf "map domains=%d" domains)
             expected
-            (Exec.Pool.parallel_map pool f input);
-          Alcotest.(check (list int))
-            (Printf.sprintf "list map domains=%d" domains)
-            (Array.to_list expected)
-            (Exec.Pool.parallel_list_map pool f (Array.to_list input))))
+            (Exec.Pool.parallel_map pool f input)))
     domain_counts
 
 let test_pool_reuse_across_batches () =

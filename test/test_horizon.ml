@@ -339,34 +339,47 @@ let test_certificate_admissible_and_realized () =
 (* ------------------------------------------------------------------ *)
 
 (* Every receding-horizon run is one schedule of the space the exact
-   search maximizes over, so on all ten Table 5 loads no window may
-   beat the optimum; and on ILs alt six jobs of lookahead come within
-   0.05 min (5 steps) of it. *)
+   search maximizes over, so on all ten Table 5 loads and on the four
+   regimes of the bound suite no window may beat the optimum.  On Table
+   5, k = 4 stays within 2% of it (0.58% at worst when this was
+   written), and on ILs alt six jobs of lookahead come within 0.05 min
+   (5 steps) of it. *)
 let test_table5_never_beats_optimum () =
+  let optimum ~n_batteries disc a =
+    (Sched.Optimal.search ~n_batteries disc a).lifetime_steps
+  in
+  (* the horizon-k lifetime, failing if it beats [opt] *)
+  let horizon what ~n_batteries disc a ~opt k =
+    let what = Printf.sprintf "%s (k=%d)" what k in
+    let policy = Sched.Horizon.policy ~k () in
+    let s =
+      lifetime_exn what (Sched.Simulator.simulate ~n_batteries ~policy disc a)
+    in
+    if s > opt then Alcotest.failf "%s: horizon %d beats optimum %d" what s opt;
+    s
+  in
   List.iter
     (fun name ->
-      let a = arrays name in
-      let opt =
-        (Sched.Optimal.search ~n_batteries:2 disc_b1 a).lifetime_steps
-      in
-      let ks =
-        if name = Loads.Testloads.ILs_alt then [ 1; 2; 4; 6 ]
-        else [ 1; 2; 4 ]
-      in
+      let what = Loads.Testloads.to_string name and a = arrays name in
+      let opt = optimum ~n_batteries:2 disc_b1 a in
       List.iter
         (fun k ->
-          let what =
-            Printf.sprintf "%s (k=%d)" (Loads.Testloads.to_string name) k
-          in
-          let policy = Sched.Horizon.policy ~k () in
-          let s = lifetime_exn what (simulate ~policy disc_b1 a) in
-          if s > opt then
-            Alcotest.failf "%s: horizon %d beats optimum %d" what s opt;
+          let s = horizon what ~n_batteries:2 disc_b1 a ~opt k in
+          if k = 4 && 50 * (opt - s) > opt then
+            Alcotest.failf "%s: horizon-4 %d more than 2%% below %d" what s
+              opt;
           if k = 6 && opt - s > 5 then
-            Alcotest.failf "%s: horizon %d more than 5 steps below %d" what
+            Alcotest.failf "%s: horizon-6 %d more than 5 steps below %d" what
               s opt)
-        ks)
-    (table5_loads "B1")
+        (if name = Loads.Testloads.ILs_alt then [ 1; 2; 4; 6 ] else [ 1; 2; 4 ]))
+    (table5_loads "B1");
+  List.iter
+    (fun (label, disc, n_batteries, a) ->
+      let opt = optimum ~n_batteries disc a in
+      List.iter
+        (fun k -> ignore (horizon label ~n_batteries disc a ~opt k : int))
+        [ 1; 2; 3; 4; 6; 8 ])
+    Answers.regimes
 
 (* ------------------------------------------------------------------ *)
 (* Monotone improvement in k on random loads                           *)

@@ -597,10 +597,47 @@ let test_spec_named_load () =
   Alcotest.(check bool) "matches built-in" true
     (Loads.Epoch.equal l (Loads.Testloads.load Loads.Testloads.ILs_alt))
 
+(* [to_string] prints every number so that it parses back bit for bit;
+   a number [%g] already prints exactly keeps those bytes.  Then a
+   seeded property over random currents and durations of every
+   magnitude, from CHAOS_SEED when set (printed). *)
 let test_spec_roundtrip () =
-  let l = Loads.Spec.parse "job 0.5 1; idle 2; job 0.25 0.5" in
-  let l' = Loads.Spec.parse (Loads.Spec.to_string l) in
-  Alcotest.(check bool) "roundtrip" true (Loads.Epoch.equal l l')
+  let roundtrips what l =
+    if not (Loads.Epoch.equal l (Loads.Spec.parse (Loads.Spec.to_string l)))
+    then Alcotest.failf "%s: %S does not read back" what (Loads.Spec.to_string l)
+  in
+  let spec = "job 0.5 1; idle 2; job 0.25 0.5; idle 1e-07" in
+  roundtrips spec (Loads.Spec.parse spec);
+  Alcotest.(check string) "short numbers keep their bytes" spec
+    (Loads.Spec.to_string (Loads.Spec.parse spec));
+  let job current duration = Loads.Epoch.job ~current ~duration in
+  Alcotest.(check string) "seven digits" "job 0.3333333 1.2345678"
+    (Loads.Spec.to_string (job 0.3333333 1.2345678));
+  roundtrips "seventeen digits" (job (1.0 /. 3.0) (0.1 +. 0.2));
+  roundtrips "seven-digit idle"
+    (Loads.Epoch.append (job 0.5 1.0) (Loads.Epoch.idle 1234567.0));
+  let seed = Guard.Chaos.seed_from_env ~default:20261022L () in
+  Printf.printf "test_loads: CHAOS_SEED=%Ld (spec printer)\n%!" seed;
+  let st = Random.State.make [| Int64.to_int seed; 22 |] in
+  let number () =
+    if Random.State.bool st then
+      float_of_int (1 + Random.State.int st 1000) /. 100.0
+    else
+      Float.ldexp
+        (Float.succ 0.0 +. Random.State.float st 1.0)
+        (Random.State.int st 40 - 20)
+  in
+  for i = 1 to 1_000 do
+    let l =
+      Loads.Epoch.concat
+        (List.init
+           (1 + Random.State.int st 8)
+           (fun k ->
+             if k mod 2 = 0 then job (number ()) (number ())
+             else Loads.Epoch.idle (number ())))
+    in
+    roundtrips (Printf.sprintf "random load %d (seed %Ld)" i seed) l
+  done
 
 let test_spec_errors () =
   let fails s =

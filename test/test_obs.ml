@@ -209,26 +209,17 @@ let test_json_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted malformed JSON"
 
-(* A real trace and a real stats snapshot must both render to JSON that
-   the bundled parser reads back identically. *)
+(* A real trace must render to JSON that the bundled parser reads back
+   identically. *)
 let test_emitted_json_parses () =
   fresh ~trace:true ();
-  Obs.incr c_test;
-  Obs.observe h_test 3;
-  Obs.gauge_max g_test 5;
   Obs.time s_outer (fun () -> Obs.time ~index:7 s_inner (fun () -> ()));
-  let snap_doc = Obs.snapshot_json (Obs.snapshot ()) in
-  let trace_doc = Obs.trace_document () in
+  let doc = Obs.trace_document () in
   done_ ();
-  List.iter
-    (fun (label, doc) ->
-      let s = Obs.Json.to_string doc in
-      match Obs.Json.of_string s with
-      | Ok doc' ->
-          Alcotest.(check bool) (label ^ " round-trips") true
-            (Obs.Json.equal doc doc')
-      | Error e -> Alcotest.fail (Printf.sprintf "%s: %s" label e))
-    [ ("snapshot", snap_doc); ("trace", trace_doc) ]
+  match Obs.Json.of_string (Obs.Json.to_string doc) with
+  | Ok doc' ->
+      Alcotest.(check bool) "trace round-trips" true (Obs.Json.equal doc doc')
+  | Error e -> Alcotest.fail ("trace: " ^ e)
 
 (* ------------------------------------------------------------------ *)
 (* regression: Obs counters == Optimal.stats, results unchanged        *)

@@ -245,6 +245,15 @@ let near_twins =
     "job 0.5 1; idle 12345.64; repeat 300 (job 0.5 1; idle 0.5)";
   ]
 
+(* Two Monte Carlo deadlines 0.8e-6 min apart: a six-decimal key gave
+   them one cache entry, and the second was answered with the first's
+   [death_before] estimate and deadline. *)
+let near_twin_deadlines =
+  [
+    {|{"op":"montecarlo","seed":7,"samples":500,"slots":40,"deadline_min":15.0399996}|};
+    {|{"op":"montecarlo","seed":7,"samples":500,"slots":40,"deadline_min":15.0400004}|};
+  ]
+
 let cli_optimum spec =
   let arrays =
     Loads.Arrays.make ~time_step:0.01 ~charge_unit:0.01 (Loads.Spec.parse spec)
@@ -292,7 +301,33 @@ let test_spec_keys_exact () =
             (float_of_int optimum *. 0.01)
             m
       | _ -> Alcotest.failf "compare lacks optimal_min: %s" (Obs.Json.to_string j))
-    near_twins optima
+    near_twins optima;
+  let mc_keys =
+    List.map
+      (fun line ->
+        match Serve.Protocol.parse_request line with
+        | Ok req -> Serve.Protocol.cache_key req
+        | Error (_, e) -> Alcotest.failf "refused: %s" (Guard.Error.to_string e))
+      near_twin_deadlines
+  in
+  Alcotest.(check bool)
+    "near-twin deadlines get different keys" true
+    (List.nth mc_keys 0 <> List.nth mc_keys 1);
+  (* each deadline answered in both orders: by this daemon after its
+     twin, and by a fresh one before it *)
+  let forward = List.map (request_exn c) near_twin_deadlines in
+  let path2, r2 = start () in
+  Fun.protect ~finally:(fun () -> finish r2) @@ fun () ->
+  let c2 = connect path2 in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c2) @@ fun () ->
+  let backward =
+    List.rev (List.map (request_exn c2) (List.rev near_twin_deadlines))
+  in
+  Alcotest.(check (list string)) "deadline answers in either order" backward
+    forward;
+  Alcotest.(check bool)
+    "the twins have different answers" true
+    (List.nth forward 0 <> List.nth forward 1)
 
 (* An int field of a [stats] response's [result.<section>]. *)
 let sub_int stats section field =
